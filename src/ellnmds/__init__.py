@@ -19,6 +19,7 @@ from .errors import (  # noqa: F401
     FieldMismatch,
     FrameViolation,
     HypothesisNotMet,
+    InvariantViolated,
     KOutOfRange,
     NoFrameFound,
     NotPrime,

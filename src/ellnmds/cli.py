@@ -185,7 +185,7 @@ def cmd_arc(args) -> int:
         "complete": not addable,
     }
     if args.complete:
-        result = complete_arc(arc, max_add=args.max_add, budget=budget)
+        result = complete_arc(arc, max_add=args.max_add, budget=budget, workers=args.workers)
         payload["completionAdded"] = [list(p) for p in result.added]
         payload["completeAfter"] = result.complete
     _emit(args, payload, budget,
@@ -226,7 +226,7 @@ def cmd_oracle(args) -> int:
         "extendable": extendable,
     }
     if args.h == 1:
-        addable = addable_points(code.arc, budget)
+        addable = addable_points(code.arc, budget, workers=args.workers)
         payload["arcDecision"] = bool(addable)
         payload["pathsAgree"] = payload["arcDecision"] == extendable
     _emit(args, payload, budget, [f"h={args.h} extendable: {extendable}"])
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=True, k=False, budget=True):
+    def common(p, curve=True, k=False, budget=True, workers=False):
         p.add_argument("--q", type=int, required=True, help="field order")
         p.add_argument("--r", type=int, default=None,
                        help="expected extension degree (consistency check)")
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LIMIT,
                            help="element-multiplication cap for scans")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        if workers:
+            p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("nq1", help="largest elliptic point count over F_q")
     p.add_argument("--q", type=int, required=True)
@@ -281,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, metavar="PATH",
                    help="generator matrix file: 'q k n' then k rows")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LIMIT)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("trisecants", help="trisecant scan or one point profile")
@@ -290,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trisecants)
 
     p = sub.add_parser("arc", help="embedded point set report")
-    common(p, k=True)
+    common(p, k=True, workers=True)
     p.add_argument("--complete", action="store_true", help="run greedy completion")
     p.add_argument("--max-add", type=int, default=4)
     p.set_defaults(fn=cmd_arc)
 
     p = sub.add_parser("verify", help="extendability verdict for one curve")
-    common(p, k=True)
+    common(p, k=True, workers=True)
     p.add_argument("--theorem", choices=("main", "j0"), default="main")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None)
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force h-extendability")
-    common(p, k=True)
+    common(p, k=True, workers=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--naive", action="store_true",
                    help="flat tuple search instead of the chain search")

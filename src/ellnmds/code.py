@@ -16,64 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import EllipticCurve
-from .errors import Budget, BudgetExceeded, ensure_budget
-from .gf import Field, dot_zero_mask, linear_w_matrix
-from .geometry import EllipticArc, arc_make, proj_space_size
+from .errors import Budget, BudgetExceeded, InvariantViolated, ensure_budget
+from .gf import (  # noqa: F401  (parity_check is re-exported)
+    Field,
+    dot_zero_mask,
+    dot_zero_mask_digits,
+    linear_w_matrix,
+    parity_check,
+    rank_gf,
+    rref_gf,
+)
+from .geometry import EllipticArc, arc_make, proj_reps, proj_reps_cached, proj_space_size
 
 LABEL_MDS = "MDS"
 LABEL_NMDS = "NMDS"
 LABEL_AMDS = "AMDS-not-NMDS"
 LABEL_OTHER = "OTHER"
-
-
-def rref_gf(field: Field, rows):
-    """Reduced row echelon form with leftmost pivoting; returns (rref, pivots)."""
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, v) for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [field.sub(v, field.mul(c, w)) for v, w in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat, pivots
-
-
-def rank_gf(field: Field, rows) -> int:
-    return len(rref_gf(field, rows)[1])
-
-
-def parity_check(field: Field, rows):
-    """Rows spanning the dual code, from the standard-form construction."""
-    rref, pivots = rref_gf(field, rows)
-    k = len(pivots)
-    n = len(rows[0])
-    free = [c for c in range(n) if c not in pivots]
-    h = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(rref[i][fc])
-        h.append(vec)
-    return h
 
 
 class LinearCode:
@@ -134,28 +92,8 @@ def generator_matrix(curve: EllipticCurve, k: int, budget: Budget | None = None)
     return LinearCode(curve.field, rows, arc=arc)
 
 
-def _normalized_rows_iter(q: int, k: int, chunk: int = 1 << 15):
-    """Normalized representatives of nonzero x in F_q^k, odometer order."""
-    for lead in range(k - 1, -1, -1):
-        tail = k - 1 - lead
-        total = q**tail
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            m = np.arange(start, stop, dtype=np.int64)
-            block = np.zeros((stop - start, k), dtype=np.int64)
-            block[:, lead] = 1
-            rem = m
-            for i in range(k - 1, lead, -1):
-                block[:, i] = rem % q
-                rem = rem // q
-            yield block
-
-
 def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
     """Hamming weights of one codeword per projective class of messages."""
-    from .geometry import proj_reps_cached
-    from .gf import dot_zero_mask_digits
-
     field = code.field
     m = len(code.rows)
     reps = proj_space_size(field.q, m)
@@ -166,7 +104,7 @@ def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
         _, digits = cached
         return code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
     weights = []
-    for block in _normalized_rows_iter(field.q, m):
+    for block in proj_reps(field, m, 1 << 15):
         zero = dot_zero_mask(field, block, w)
         weights.append(code.n - zero.sum(axis=1))
     return np.concatenate(weights)
@@ -225,7 +163,8 @@ def weight_distribution(code: LinearCode, budget: Budget | None = None) -> list[
     fiber = code.field.q ** (len(code.rows) - code.k)
     for wgt in range(1, code.n + 1):
         hits = (code.field.q - 1) * int(binc[wgt])
-        assert hits % fiber == 0
+        if hits % fiber:
+            raise InvariantViolated(f"{hits} weight-{wgt} words do not fill whole fibres of {fiber}")
         a[wgt] += hits // fiber
     return a
 
@@ -323,7 +262,8 @@ def classify(code: LinearCode, budget: Budget | None = None,
     else:
         d_dual = dual_min_distance(code, budget)
     s = code.n - code.k + 1 - d
-    assert 0 <= s <= max(0, code.n - code.k), "Singleton bound violated"
+    if not 0 <= s <= max(0, code.n - code.k):
+        raise InvariantViolated(f"Singleton bound violated: defect {s}")
     if d_dual is None:
         s_dual = None
         label = LABEL_MDS if s == 0 else LABEL_OTHER
@@ -384,7 +324,7 @@ def h_extendability_oracle(code: LinearCode, h: int, budget: Budget | None = Non
     field = code.field
     d = min_distance(code, budget)
     weights = _codeword_weights(code, budget)
-    reps = np.vstack(list(_normalized_rows_iter(field.q, len(code.rows))))
+    reps = np.vstack(list(proj_reps(field, len(code.rows))))
     w = linear_w_matrix(field, reps)
     nonzero = ~dot_zero_mask(field, reps, w)  # (N_x, N_c) indicator of x.c != 0
     n_cols = nonzero.shape[1]

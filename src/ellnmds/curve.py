@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenCharacteristic, ScanLimitExceeded, Singular
+from .errors import EvenCharacteristic, InvariantViolated, ScanLimitExceeded, Singular
 from .gf import Field, factor_prime_power
 
 SCAN_LIMIT = 169
@@ -53,8 +53,6 @@ class CurveSummary:
     j: int
     j_is_zero: bool
     n_is_even: bool
-    r_parity: int
-    p_mod3: int
 
 
 class EllipticCurve:
@@ -179,7 +177,8 @@ class EllipticCurve:
         self._affine = tuple(pts)
         self._n = len(pts) + 1
         dev = self._n - (f.q + 1)
-        assert dev * dev <= 4 * f.q, "point count outside the Hasse interval"
+        if dev * dev > 4 * f.q:
+            raise InvariantViolated(f"point count {self._n} outside the Hasse interval")
 
     @property
     def affine_points(self) -> tuple:
@@ -209,8 +208,6 @@ class EllipticCurve:
             j=self.j,
             j_is_zero=self.j == 0,
             n_is_even=self.n % 2 == 0,
-            r_parity=f.r % 2,
-            p_mod3=f.p % 3,
         )
 
     def to_json_dict(self, include_points: bool = True) -> dict:

@@ -55,6 +55,10 @@ class ArcPropertyViolated(EllnmdsError):
     """
 
 
+class InvariantViolated(EllnmdsError):
+    """An internal invariant failed; only an implementation bug can cause it."""
+
+
 class DimensionMismatch(EllnmdsError):
     pass
 

@@ -29,16 +29,18 @@ from .errors import (
     BudgetExceeded,
     FrameViolation,
     HypothesisNotMet,
+    InvariantViolated,
     NoFrameFound,
     NoWitnessFound,
     ensure_budget,
 )
 from .geometry import (
     EllipticArc,
-    addable_filter,
     addable_points,
     arc_make,
+    complete_arc,
     coords_to_enc,
+    incidence,
     normalize_coords,
     phi_k,
     proj_space_size,
@@ -100,7 +102,8 @@ def transform_curve(curve: EllipticCurve, u: int, r: int, s: int, t: int) -> Ell
     n6_sub = f.add(f.mul(t, t), f.add(f.mul(w1, f.mul(r, t)), f.mul(w3, t)))
     n6 = f.mul(iu6, f.sub(n6_core, n6_sub))
     out = EllipticCurve(f, (n1, n3, n2, n4, n6))
-    assert out.n == curve.n and out.j == curve.j
+    if out.n != curve.n or out.j != curve.j:
+        raise InvariantViolated("frame change altered the point count or the j-invariant")
     return out
 
 
@@ -268,10 +271,7 @@ class WitnessContext:
     def _verify(self, report: WitnessReport) -> None:
         field = self.field
         k = self.arc.k
-        acc = 0
-        for hv, qv in zip(report.hyperplane, report.q_point):
-            acc = field.add(acc, field.mul(hv, qv))
-        if acc != 0:
+        if not incidence(field, report.hyperplane, report.q_point):
             raise AssertionError("witness hyperplane misses the query point")
         if len(report.secant_points) != k:
             raise AssertionError(
@@ -280,10 +280,7 @@ class WitnessContext:
         for pt in report.secant_points:
             if not self.is_arc_point(pt):
                 raise AssertionError("witness point is not on the arc")
-            dot = 0
-            for hv, pv in zip(report.hyperplane, pt):
-                dot = field.add(dot, field.mul(hv, pv))
-            if dot != 0:
+            if not incidence(field, report.hyperplane, pt):
                 raise AssertionError("listed point is off the witness hyperplane")
         if self.arc.secant_count(report.hyperplane) != k:
             raise AssertionError("witness hyperplane has the wrong section size")
@@ -384,13 +381,8 @@ def k5_candidates(curve: EllipticCurve, arc: EllipticArc) -> tuple[list[tuple], 
         for q2 in range(1, field.q):
             for q3 in range(field.q):
                 out.append((1, q2, q3, 0, field.mul(rho, q2)))
-    if not out:
-        return [], ratios
-    cand = [normalize_coords(field, c) for c in out]
-    cand = sorted(set(cand), key=lambda c: tuple(c))
-    enc = coords_to_enc(np.array(cand, dtype=np.int64), field.q)
-    order = np.argsort(enc, kind="stable")
-    return [cand[int(i)] for i in order], ratios
+    # lexicographic order of normalized tuples is the canonical point order
+    return sorted({normalize_coords(field, c) for c in out}), ratios
 
 
 # ---- theorem verification ---------------------------------------------------
@@ -453,21 +445,18 @@ def _sample_proj_points(field, k, count, rng, exclude_encs):
     return out
 
 
-def _greedy_completion(arc, first_addable, max_add, budget, candidates=None):
-    added = []
-    current = arc
-    addable = list(first_addable)
-    pool = candidates
-    while addable and len(added) < max_add:
-        pick = addable[0]
-        added.append(pick)
-        current = current.with_point(pick)
-        if pool is not None:
-            pool = [c for c in addable if tuple(c) != pick]
-            addable = addable_filter(current, pool, budget)
-        else:
-            addable = addable_points(current, budget)
-    return added, not addable
+def _sample_witnesses(ctx, seed, sample, exclude, budget, report):
+    """Witness search at ``sample`` uniform points off ``exclude``; misses
+    are collected in the report."""
+    field = ctx.field
+    rng = np.random.default_rng(seed)
+    budget.charge("witness_sample", sample * (field.q + ctx.arc.n))
+    for pt in _sample_proj_points(field, ctx.arc.k, sample, rng, exclude):
+        try:
+            ctx.witness(pt)
+        except NoWitnessFound:
+            report.witness_failures.append(pt)
+    report.sampled = sample
 
 
 def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = None,
@@ -522,14 +511,16 @@ def _verify_k3(curve, budget, report, workers=1):
 
 
 def _verify_k4(curve, budget, report, workers=1):
-    arc = arc_make(curve, 4, budget)
-    addable = addable_points(arc, budget, workers=workers)
-    report.addable = addable
-    off_line = [p for p in addable if not (p[0] == 0 and p[1] == 0)]
-    if off_line:
-        report.verdict = VERDICT_VIOLATION
-        report.notes.append(f"addable point off the fundamental line: {off_line[0]}")
-    added, complete = _greedy_completion(arc, addable, 3, budget)
+    def first_round(addable):
+        report.addable = addable
+        off_line = [p for p in addable if not (p[0] == 0 and p[1] == 0)]
+        if off_line:
+            report.verdict = VERDICT_VIOLATION
+            report.notes.append(f"addable point off the fundamental line: {off_line[0]}")
+
+    result = complete_arc(arc_make(curve, 4, budget), 3, budget, workers=workers,
+                          on_first=first_round)
+    added, complete = result.added, result.complete
     report.completion_added = added
     report.complete = complete
     if len(added) > 1 or not complete:
@@ -540,10 +531,17 @@ def _verify_k4(curve, budget, report, workers=1):
 
 
 def _framed_arc(curve, k, budget, report, force):
+    """Arc of the frame-normalized curve, or (None, None) after recording a
+    full addable scan of the original curve when no frame exists."""
     try:
         framed, frame = choose_frame(curve, force=force)
     except NoFrameFound:
         report.notes.append("no frame found; falling back to a full addable scan")
+        addable = addable_points(arc_make(curve, k, budget), budget)
+        report.addable = addable
+        report.complete = not addable
+        if addable:
+            report.verdict = VERDICT_VIOLATION
         return None, None
     report.frame = {**frame.to_json_dict(), "coeffs": list(framed.coeffs)}
     return arc_make(framed, k, budget), framed
@@ -552,30 +550,28 @@ def _framed_arc(curve, k, budget, report, force):
 def _verify_k5(curve, budget, report, seed, sample, force):
     arc, framed = _framed_arc(curve, 5, budget, report, force)
     if arc is None:
-        addable = addable_points(arc_make(curve, 5, budget), budget)
-        report.addable = addable
-        report.complete = not addable
-        if addable:
-            report.verdict = VERDICT_VIOLATION
         return
     ctx = WitnessContext(arc)
     cands, ratios = k5_candidates(framed, arc)
     report.notes.append(f"candidates={len(cands)} ratios={list(ratios)}")
-    # exact addability over the candidate family
-    addable = addable_filter(arc, cands, budget)
-    report.addable = addable
     field = framed.field
-    for pt in addable:
-        ok = (
-            pt[3] == 0
-            and pt[1] != 0
-            and pt[4] != 0
-            and framed.is_on_curve(0, field.div(pt[4], pt[1]))
-        )
-        if not ok:
-            report.verdict = VERDICT_VIOLATION
-            report.notes.append(f"addable point violates the candidate conditions: {pt}")
-    added, complete = _greedy_completion(arc, addable, 3, budget, candidates=cands)
+
+    def first_round(addable):
+        # exact addability over the candidate family
+        report.addable = addable
+        for pt in addable:
+            ok = (
+                pt[3] == 0
+                and pt[1] != 0
+                and pt[4] != 0
+                and framed.is_on_curve(0, field.div(pt[4], pt[1]))
+            )
+            if not ok:
+                report.verdict = VERDICT_VIOLATION
+                report.notes.append(f"addable point violates the candidate conditions: {pt}")
+
+    result = complete_arc(arc, 3, budget, candidates=cands, on_first=first_round)
+    added, complete = result.added, result.complete
     report.completion_added = added
     report.complete = complete
     if len(added) > 2 or not complete:
@@ -584,18 +580,11 @@ def _verify_k5(curve, budget, report, seed, sample, force):
             f"completion added {len(added)} points (complete={complete}), expected at most 2"
         )
     # sampled witnesses for non-candidates
-    rng = np.random.default_rng(seed)
     exclude = set(int(e) for e in arc.encs)
     exclude.update(
         int(e) for e in coords_to_enc(np.array(cands, dtype=np.int64), field.q)
     )
-    budget.charge("witness_sample", sample * (field.q + arc.n))
-    for pt in _sample_proj_points(field, 5, sample, rng, exclude):
-        try:
-            ctx.witness(pt)
-        except NoWitnessFound:
-            report.witness_failures.append(pt)
-    report.sampled = sample
+    _sample_witnesses(ctx, seed, sample, exclude, budget, report)
     if report.witness_failures:
         report.verdict = VERDICT_VIOLATION
         report.notes.append(f"{len(report.witness_failures)} sampled non-candidates lack witnesses")
@@ -603,7 +592,7 @@ def _verify_k5(curve, budget, report, seed, sample, force):
     try:
         budget.check("optional_full_scan", proj_space_size(field.q, 5) * arc.n)
         full = addable_points(arc, budget)
-        if sorted(full) != sorted(addable):
+        if sorted(full) != sorted(report.addable):
             report.verdict = VERDICT_VIOLATION
             report.notes.append("full scan disagrees with the candidate-restricted scan")
         report.notes.append("full ambient scan ran")
@@ -612,24 +601,10 @@ def _verify_k5(curve, budget, report, seed, sample, force):
 
 
 def _verify_k6(curve, budget, report, seed, sample, force):
-    arc, framed = _framed_arc(curve, 6, budget, report, force)
+    arc, _ = _framed_arc(curve, 6, budget, report, force)
     if arc is None:
-        addable = addable_points(arc_make(curve, 6, budget), budget)
-        report.addable = addable
-        report.complete = not addable
-        if addable:
-            report.verdict = VERDICT_VIOLATION
         return
-    ctx = WitnessContext(arc)
-    field = framed.field
-    rng = np.random.default_rng(seed)
-    budget.charge("witness_sample", sample * (field.q + arc.n))
-    for pt in _sample_proj_points(field, 6, sample, rng, set(int(e) for e in arc.encs)):
-        try:
-            ctx.witness(pt)
-        except NoWitnessFound:
-            report.witness_failures.append(pt)
-    report.sampled = sample
+    _sample_witnesses(WitnessContext(arc), seed, sample, arc.encs, budget, report)
     report.notes.append("sampled witness mode; the full ambient space is out of desk scale")
     if report.witness_failures:
         report.verdict = VERDICT_VIOLATION

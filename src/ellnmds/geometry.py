@@ -12,6 +12,7 @@ level matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .errors import (
     KOutOfRange,
     ensure_budget,
 )
-from .gf import Field, dot_zero_mask, linear_w_matrix
+from .gf import Field, dot_zero_mask, linear_w_matrix, parity_check
 
 EAGER_VERIFY_LIMIT = 20_000_000  # incidence tests; arc property checked at build below this
 _CHUNK_FLOATS = 24_000_000       # working-set bound for scan chunks
@@ -378,7 +379,7 @@ def _combination_chunks(n: int, m: int):
         return
     for first in range(n - m + 1):
         rest = np.array(
-            list(_combinations_fixed(first + 1, n, m - 1)), dtype=np.int64
+            list(itertools.combinations(range(first + 1, n), m - 1)), dtype=np.int64
         )
         if len(rest) == 0:
             continue
@@ -388,12 +389,6 @@ def _combination_chunks(n: int, m: int):
         yield block
 
 
-def _combinations_fixed(start: int, stop: int, m: int):
-    import itertools
-
-    return itertools.combinations(range(start, stop), m)
-
-
 def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     """Cofactor null vector of (k-1) x k stacks; zero rows mean rank < k-1.
 
@@ -401,8 +396,6 @@ def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     the previous one instead of re-expanding, which matters at millions of
     stacked subsets.
     """
-    import itertools as _it
-
     m = mats.shape[1]
     k = mats.shape[2]
     level: dict[tuple, np.ndarray] = {
@@ -411,7 +404,7 @@ def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     for t in range(2, m + 1):
         row = m - t
         nxt: dict[tuple, np.ndarray] = {}
-        for cols in _it.combinations(range(k), t):
+        for cols in itertools.combinations(range(k), t):
             acc = None
             for i, col in enumerate(cols):
                 sub = cols[:i] + cols[i + 1:]
@@ -442,39 +435,6 @@ def _normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
     return field.mul_np(coords, scale[:, None])
 
 
-def _null_space_rows(field: Field, mat: list[list[int]], k: int) -> list[list[int]]:
-    """Basis of the right null space of a small matrix over F_q (row lists)."""
-    rows = [list(r) for r in mat]
-    pivots = []
-    rank = 0
-    for col in range(k):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * k
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(rows[i][fc])
-        basis.append(vec)
-    return basis
-
-
 def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None) -> np.ndarray:
     """Dual coordinates of every k-secant hyperplane, via (k-1)-subset spans.
 
@@ -495,8 +455,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
         zero_rows = ~duals.any(axis=1)
         if zero_rows.any():
             for idx in np.flatnonzero(zero_rows):
-                sub = [list(ps.coords[i]) for i in block[idx]]
-                basis = np.asarray(_null_space_rows(field, sub, k), dtype=np.int64)
+                basis = np.asarray(parity_check(field, ps.coords[block[idx]]), dtype=np.int64)
                 for mix in proj_reps(field, len(basis), 1 << 12):
                     combo = np.zeros((len(mix), k), dtype=np.int64)
                     for t in range(len(basis)):
@@ -606,16 +565,19 @@ class CompletionResult:
     added: list[tuple[int, ...]]
     complete: bool
     final: ProjPointSet
-    strategy: str
 
 
 def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
-                 candidates=None) -> CompletionResult:
+                 candidates=None, workers: int = 1, on_first=None) -> CompletionResult:
     """Greedy completion by addable points, smallest encoding first.
 
     With ``candidates`` given, each round restricts the search to the still
     unused candidates; adding a point only shrinks the addable set, so this
     stays exact when the initial candidate list covers every addable point.
+    ``workers`` is passed to the whole-space scans of :func:`addable_points`.
+    ``on_first`` is called with the addable points of ``ps`` itself before
+    any point is added, so a caller keeps them even when a later round
+    exceeds the budget.
     """
     if max_add < 0:
         raise ValueError("max_add must be nonnegative")
@@ -623,14 +585,15 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
     added: list[tuple[int, ...]] = []
     current = ps
     pool = candidates
-    strategy = "full_scan" if candidates is None else "candidate_filter"
 
     def addable_now():
         if pool is None:
-            return addable_points(current, budget)
+            return addable_points(current, budget, workers=workers)
         return addable_filter(current, pool, budget)
 
     addable = addable_now()
+    if on_first is not None:
+        on_first(addable)
     while addable and len(added) < max_add:
         pick = addable[0]
         added.append(pick)
@@ -638,5 +601,4 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
         if pool is not None:
             pool = [c for c in addable if tuple(c) != pick]
         addable = addable_now()
-    return CompletionResult(added=added, complete=not addable, final=current,
-                            strategy=strategy)
+    return CompletionResult(added=added, complete=not addable, final=current)

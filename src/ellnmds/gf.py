@@ -15,7 +15,6 @@ projective scans elsewhere in the package run on.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -170,7 +169,6 @@ class Field:
         self.generator: int | None = None
         if q <= TABLE_THRESHOLD:
             self._build_log_tables()
-        self._mul_list: list[list[int]] | None = None
         self._add_list: list[list[int]] | None = None
         if q <= PAIR_TABLE_MAX and r > 1:
             self._build_pair_lists()
@@ -465,17 +463,6 @@ class Field:
         return t
 
     @property
-    def add_table_np(self) -> np.ndarray | None:
-        if self.q > TABLE_THRESHOLD:
-            return None
-        t = self._np_cache.get("add")
-        if t is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            t = self.add_np(idx[:, None], idx[None, :]).astype(np.int32)
-            self._np_cache["add"] = t
-        return t
-
-    @property
     def inv_table_np(self) -> np.ndarray | None:
         if self.q > TABLE_THRESHOLD:
             return None
@@ -587,6 +574,59 @@ def field_make(p: int, r: int = 1, max_order: int = MAX_FIELD_ORDER) -> Field:
 def field_of_order(q: int, max_order: int = MAX_FIELD_ORDER) -> Field:
     p, r = factor_prime_power(q)
     return field_make(p, r, max_order)
+
+
+# ---- row reduction ---------------------------------------------------------
+
+
+def rref_gf(field: Field, rows):
+    """Reduced row echelon form with leftmost pivoting; returns (rref, pivots)."""
+    mat = [list(map(int, r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(mat)):
+            if mat[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = field.inv(mat[rank][col])
+        mat[rank] = [field.mul(inv, v) for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                c = mat[i][col]
+                mat[i] = [field.sub(v, field.mul(c, w)) for v, w in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat, pivots
+
+
+def rank_gf(field: Field, rows) -> int:
+    return len(rref_gf(field, rows)[1])
+
+
+def parity_check(field: Field, rows):
+    """Basis of the right null space of ``rows``: rows spanning the dual code,
+    from the standard-form construction."""
+    rref, pivots = rref_gf(field, rows)
+    n = len(rows[0])
+    free = [c for c in range(n) if c not in pivots]
+    h = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(rref[i][fc])
+        h.append(vec)
+    return h
 
 
 # ---- digit-level bulk linear algebra -------------------------------------

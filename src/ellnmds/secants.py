@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import INFINITY, EllipticCurve
-from .errors import PointOnCurve
+from .errors import InvariantViolated, PointOnCurve
 from .geometry import normalize_coords
+from .gf import rank_gf
 
 KIND_SPARSE = "sparse"
 KIND_TANGENT = "tangent"
@@ -46,10 +47,6 @@ class LineMeet:
     points: tuple  # ((x, y) or INFINITY, multiplicity) pairs
     vertical: bool
     at_infinity: bool
-
-    @property
-    def rational_count(self) -> int:
-        return len(self.points)
 
     @property
     def multiplicity_sum(self) -> int:
@@ -217,7 +214,7 @@ def lines_through(field, point):
     ]
     basis = []
     for cand in candidates:
-        if any(cand) and _rank2(field, basis + [list(cand)]) == len(basis) + 1:
+        if any(cand) and rank_gf(field, basis + [list(cand)]) == len(basis) + 1:
             basis.append(list(cand))
         if len(basis) == 2:
             break
@@ -228,34 +225,13 @@ def lines_through(field, point):
             for u, v in zip(basis[0], basis[1])
         )
         duals.add(normalize_coords(field, combo))
-    assert len(duals) == field.q + 1
+    if len(duals) != field.q + 1:
+        raise InvariantViolated(f"pencil of {len(duals)} lines, expected {field.q + 1}")
     return sorted(duals, key=lambda d: _enc3(field.q, d))
 
 
 def _enc3(q, d):
     return (d[0] * q + d[1]) * q + d[2]
-
-
-def _rank2(field, rows):
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(3):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, v) for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                cc = mat[i][col]
-                mat[i] = [field.sub(v, field.mul(cc, w)) for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 # ---- closure tangency via the slope discriminant ---------------------------
@@ -309,25 +285,10 @@ def _pderiv(field, a):
     return _ptrim([field.mul(i % field.p, a[i]) for i in range(1, len(a))]) if len(a) > 1 else [0]
 
 
-def _pmod(field, a, b):
-    a = list(a)
-    db = _pdeg(b)
-    inv = field.inv(b[db])
-    while _pdeg(a) >= db and db >= 0:
-        da = _pdeg(a)
-        coef = field.mul(a[da], inv)
-        for i in range(db + 1):
-            a[da - db + i] = field.sub(a[da - db + i], field.mul(coef, b[i]))
-        a = _ptrim(a)
-        if _pdeg(a) < 0:
-            break
-    return _ptrim(a)
-
-
 def _pgcd(field, a, b):
     a, b = _ptrim(a), _ptrim(b)
     while _pdeg(b) >= 0:
-        a, b = b, _pmod(field, a, b)
+        a, b = b, _pdivmod(field, a, b)[1]
     return a
 
 
@@ -365,7 +326,8 @@ def _distinct_root_count(field, poly) -> int:
     if _pdeg(g) == 0:
         return d
     w, rem = _pdivmod(field, poly, g)
-    assert _pdeg(rem) < 0
+    if _pdeg(rem) >= 0:
+        raise InvariantViolated("gcd(f, f') does not divide f")
     y = g
     while True:
         h = _pgcd(field, y, w)
@@ -373,7 +335,8 @@ def _distinct_root_count(field, poly) -> int:
             break
         y = _pdivmod(field, y, h)[0]
     dy = _pdeg(y)
-    assert dy % field.p == 0 or dy == 0
+    if dy % field.p:
+        raise InvariantViolated(f"repeated part of degree {dy} is not a p-th power")
     z = [y[i] for i in range(0, dy + 1, field.p)]
     return _pdeg(w) + _distinct_root_count(field, z)
 
@@ -391,6 +354,37 @@ def _cubic_discriminant_poly(field, a, b, c):
     return _psub(field, _psub(field, _padd(field, _psub(field, t1, t2), t3), t4), t5)
 
 
+def _closure_tangents(curve: EllipticCurve, x, z) -> tuple[int | None, int]:
+    """Tangents over the closure through a point of the squared-away plane.
+
+    (x, z) is an affine point; x = None stands for the infinite point of
+    slope z.  Returns (nonvertical, extra): the distinct roots of the slope
+    discriminant (None when it vanishes identically) and the tangents the
+    discriminant cannot see, namely the vertical through x when g(x) = 0, or
+    the infinite line, which passes through every infinite point.
+    """
+    field = curve.field
+    A, B, C = curve.short_form()
+    two = 2 % field.p
+    if x is not None:
+        # slope m is the parameter, intercept t(m) = z - m x
+        t_poly = [z, field.neg(x)]
+        a = [A, 0, field.neg(1)]
+        b = _psub(field, [B], _pscale(field, _pmul(field, [0, 1], t_poly), two))
+        c = _psub(field, [C], _pmul(field, t_poly, t_poly))
+        extra = 1 if curve.g_of_x(x) == 0 else 0
+    else:
+        # fixed slope, intercept t is the parameter
+        a = [field.sub(A, field.mul(z, z))]
+        b = _ptrim([B, field.neg(field.mul(two, z))])
+        c = _psub(field, [C], [0, 0, 1])
+        extra = 1
+    disc = _cubic_discriminant_poly(field, a, b, c)
+    if _pdeg(disc) < 0:
+        return None, extra
+    return _distinct_root_count(field, disc), extra
+
+
 def geometric_tangents(curve: EllipticCurve, point) -> tuple[int | None, bool]:
     """Tangent lines of the cubic through a point, counted over the closure.
 
@@ -404,31 +398,14 @@ def geometric_tangents(curve: EllipticCurve, point) -> tuple[int | None, bool]:
     p1, p2, p3 = normalize_coords(field, point)
     if point_on_curve(curve, (p1, p2, p3)):
         raise PointOnCurve(f"({p1},{p2},{p3}) lies on the curve")
-    A, B, C = curve.short_form()
     if p1 == 1:
-        px = p2
-        pz = curve.y_shift(p2, p3)
-        # slope m is the parameter, intercept t(m) = pz - m px
-        t_poly = [pz, field.neg(px)]
-        a = [A, 0, field.neg(1)]
-        b = _psub(field, [B], _pscale(field, _pmul(field, [0, 1], t_poly), 2 % field.p))
-        c = _psub(field, [C], _pmul(field, t_poly, t_poly))
-        disc = _cubic_discriminant_poly(field, a, b, c)
-        extra = 1 if curve.g_of_x(px) == 0 else 0  # vertical tangency
+        nonvertical, extra = _closure_tangents(curve, p2, curve.y_shift(p2, p3))
+    elif p2 == 1:
+        nonvertical, extra = _closure_tangents(curve, None, field.add(p3, curve._short["h1"]))
     else:
-        # infinite point: fixed slope, intercept t is the parameter; the
-        # infinite line is tangent and passes through every infinite point
-        v = field.add(p3, curve._short["h1"]) if p2 == 1 else None
-        if v is None:
-            raise PointOnCurve("the curve's infinite point is not external")
-        a = [field.sub(A, field.mul(v, v))]
-        b = _ptrim([B, field.neg(field.mul(2 % field.p, v))])
-        c = _psub(field, [C], [0, 0, 1])
-        disc = _cubic_discriminant_poly(field, a, b, c)
-        extra = 1
-    if _pdeg(disc) < 0:
+        raise PointOnCurve("the curve's infinite point is not external")
+    if nonvertical is None:
         return None, True
-    nonvertical = _distinct_root_count(field, disc)
     return nonvertical + extra, nonvertical > 0
 
 
@@ -523,7 +500,6 @@ class LineSystem:
         self._tri_points_cache: dict[int, tuple] = {}
         self._tri_counts = None
         self._tangent_counts = None
-        self._nv_tangent_counts = None
 
     # ---- id and coordinate conversions -----------------------------------
 
@@ -695,14 +671,6 @@ class LineSystem:
             self._tangent_counts = self._point_accumulate(self.tangent)
         return self._tangent_counts
 
-    def nonvertical_tangent_counts(self) -> np.ndarray:
-        if self._nv_tangent_counts is None:
-            q = self.q
-            mask = self.tangent.copy()
-            mask[q * q:] = False  # verticals and the infinite line excluded
-            self._nv_tangent_counts = self._point_accumulate(mask)
-        return self._nv_tangent_counts
-
 
 @dataclass
 class TrisecantScan:
@@ -743,9 +711,6 @@ class TangentStats:
     all_affine_have_nonvertical: bool
     first_missing: tuple | None
 
-    def bound_holds(self) -> bool:
-        return self.max_geometric_tangents <= 6 and self.degenerate_points == 0
-
 
 def tangent_statistics(curve: EllipticCurve, system: LineSystem | None = None) -> TangentStats:
     """Closure tangent counts over every external point of the plane.
@@ -755,38 +720,23 @@ def tangent_statistics(curve: EllipticCurve, system: LineSystem | None = None) -
     point.
     """
     system = system or LineSystem(curve)
-    field = curve.field
-    q = field.q
+    q = curve.field.q
     ext = system.external_mask()
     max_rat = int(system.tangent_counts()[ext].max())
-    A, B, C = curve.short_form()
     max_geo = 0
     degenerate = 0
     all_nv = True
     first_missing = None
-    two = 2 % field.p
     for pid in np.flatnonzero(ext):
         pid = int(pid)
-        if pid < q * q:
-            px, pz = divmod(pid, q)
-            t_poly = [pz, field.neg(px)]
-            a = [A, 0, field.neg(1)]
-            b = _psub(field, [B], _pscale(field, _pmul(field, [0, 1], t_poly), two))
-            c = _psub(field, [C], _pmul(field, t_poly, t_poly))
-            extra = 1 if curve.g_of_x(px) == 0 else 0
-            affine = True
+        affine = pid < q * q
+        if affine:
+            nonvertical, extra = _closure_tangents(curve, *divmod(pid, q))
         else:
-            v = pid - q * q  # slope in the squared-away plane
-            a = [field.sub(A, field.mul(v, v))]
-            b = _ptrim([B, field.neg(field.mul(two, v))])
-            c = _psub(field, [C], [0, 0, 1])
-            extra = 1
-            affine = False
-        disc = _cubic_discriminant_poly(field, a, b, c)
-        if _pdeg(disc) < 0:
+            nonvertical, extra = _closure_tangents(curve, None, pid - q * q)
+        if nonvertical is None:
             degenerate += 1
             continue
-        nonvertical = _distinct_root_count(field, disc)
         max_geo = max(max_geo, nonvertical + extra)
         if affine and nonvertical == 0:
             all_nv = False

@@ -135,3 +135,28 @@ def test_curve_scan_filters(capsys):
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "classify", "--q", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"),
+    ("verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force"),
+])
+def test_worker_count_does_not_change_reports(capsys, argv):
+    docs = []
+    for workers in ("1", "2"):
+        _, out, _ = run_cli(capsys, *argv, "--workers", workers)
+        doc = json.loads(out)
+        assert doc["config"].pop("workers") == int(workers)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve-scan", "--q", "7", "--max", "1"),
+    ("build", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3"),
+    ("classify", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3"),
+    ("trisecants", "--q", "7", "--curve", "0,0,0,5,1"),
+])
+def test_workers_flag_only_where_it_is_used(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--workers", "2")[0] == 1

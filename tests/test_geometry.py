@@ -21,7 +21,7 @@ from ellnmds.geometry import (
     psi,
     secant_scan,
 )
-from ellnmds.gf import field_make
+from ellnmds.gf import field_make, field_of_order
 
 
 # ---- independent oracles for prime fields (no library arithmetic) ----------
@@ -205,6 +205,18 @@ def test_subset_route_matches_scan_route():
             a = sorted(coords_to_enc(fulls_scan, q).tolist())
             b = sorted(coords_to_enc(fulls_sub, q).tolist())
             assert a == b
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_subset_route_with_a_degenerate_subset(q):
+    # three collinear points make a dependent 3-subset, whose whole pencil of
+    # hyperplanes the subset route has to add
+    field = field_of_order(q)
+    ps = ProjPointSet(field, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                                 (0, 0, 1, 0), (0, 0, 0, 1)])
+    _, fulls_scan = secant_scan(ps, _big_budget())
+    assert len(fulls_scan)
+    assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
 
 
 def _big_budget():

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellnmds.errors import DivisionByZero, FieldMismatch, NotPrime, NotPrimePower, Overflow
 from ellnmds.gf import (
@@ -12,6 +14,8 @@ from ellnmds.gf import (
     gf_matmul,
     linear_w_matrix,
     dot_zero_mask,
+    parity_check,
+    rank_gf,
 )
 
 
@@ -208,3 +212,23 @@ def test_field_is_cached_and_deterministic():
     f2 = Field(11, 2)
     assert f1.modulus == f2.modulus
     assert f1.generator == f2.generator
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([7, 9, 25]), data=st.data())
+def test_parity_check_is_a_null_space_basis(q, data):
+    field = field_of_order(q)
+    m = data.draw(st.integers(1, 5), label="rows")
+    n = data.draw(st.integers(1, 7), label="columns")
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    h = parity_check(field, rows)
+    assert len(h) == n - rank_gf(field, rows)
+    if h:
+        assert rank_gf(field, h) == len(h)
+    for vec in h:
+        for row in rows:
+            acc = 0
+            for a, b in zip(vec, row):
+                acc = field.add(acc, field.mul(a, b))
+            assert acc == 0
