@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def min_distance(code: LinearCode, budget: Budget | None = None) -> int:
             weights = _codeword_weights(code, budget)
             d_cw = int(weights[weights > 0].min())
             if d_cw != d_geo:
-                raise AssertionError(
+                raise InvariantViolated(
                     f"distance paths disagree: codewords give {d_cw}, incidences give {d_geo}"
                 )
     else:
@@ -177,17 +178,23 @@ def krawtchouk(n: int, q: int, j: int, i: int) -> int:
     )
 
 
+@lru_cache(maxsize=128)
+def _krawtchouk_matrix(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Rows (K_j(i))_i for j = 0..n; cached for the last 128 (n, q) pairs."""
+    return tuple(tuple(krawtchouk(n, q, j, i) for i in range(n + 1)) for j in range(n + 1))
+
+
 def macwilliams_transform(a: list[int], n: int, k: int, q: int) -> list[int]:
     """Weight distribution of the dual code, exact integer arithmetic."""
     size = q**k
     b = []
-    for j in range(n + 1):
-        acc = sum(a[i] * krawtchouk(n, q, j, i) for i in range(n + 1))
+    for row in _krawtchouk_matrix(n, q):
+        acc = sum(ai * kji for ai, kji in zip(a, row))
         if acc % size:
-            raise AssertionError("dual weight distribution is not integral")
+            raise InvariantViolated("dual weight distribution is not integral")
         b.append(acc // size)
     if b[0] != 1 or any(v < 0 for v in b):
-        raise AssertionError("invalid dual weight distribution")
+        raise InvariantViolated("invalid dual weight distribution")
     return b
 
 
@@ -196,7 +203,7 @@ def dual_min_distance_from_distribution(code: LinearCode, budget: Budget | None 
     for j in range(1, code.n + 1):
         if b[j]:
             return j
-    raise AssertionError("dual code has no nonzero word")
+    raise InvariantViolated("dual code has no nonzero word")
 
 
 def dual_min_distance(code: LinearCode, budget: Budget | None = None) -> int | None:

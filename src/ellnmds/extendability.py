@@ -272,18 +272,18 @@ class WitnessContext:
         field = self.field
         k = self.arc.k
         if not incidence(field, report.hyperplane, report.q_point):
-            raise AssertionError("witness hyperplane misses the query point")
+            raise InvariantViolated("witness hyperplane misses the query point")
         if len(report.secant_points) != k:
-            raise AssertionError(
+            raise InvariantViolated(
                 f"witness lists {len(report.secant_points)} points, expected {k}"
             )
         for pt in report.secant_points:
             if not self.is_arc_point(pt):
-                raise AssertionError("witness point is not on the arc")
+                raise InvariantViolated("witness point is not on the arc")
             if not incidence(field, report.hyperplane, pt):
-                raise AssertionError("listed point is off the witness hyperplane")
+                raise InvariantViolated("listed point is off the witness hyperplane")
         if self.arc.secant_count(report.hyperplane) != k:
-            raise AssertionError("witness hyperplane has the wrong section size")
+            raise InvariantViolated("witness hyperplane has the wrong section size")
 
     # -- dispatch per embedding dimension ------------------------------------
 

@@ -23,6 +23,7 @@ from .errors import (
     DivisionByZero,
     EvenCharacteristic,
     FieldMismatch,
+    InvariantViolated,
     NotPrime,
     NotPrimePower,
     Overflow,
@@ -133,7 +134,7 @@ def _smallest_irreducible(p: int, r: int) -> list[int]:
             continue  # root at zero, never irreducible
         if _irreducible(candidate, p):
             return candidate
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantViolated("no irreducible polynomial found")  # unreachable
 
 
 class Field:
@@ -170,9 +171,12 @@ class Field:
         if q <= TABLE_THRESHOLD:
             self._build_log_tables()
         self._add_list: list[list[int]] | None = None
+        self._neg_list: list[int] | None = None
         if q <= PAIR_TABLE_MAX and r > 1:
             self._build_pair_lists()
-        self._np_cache: dict[str, np.ndarray] = {}
+        # lazily built numpy tables; each is built completely and published
+        # with one setdefault, so worker threads that race only duplicate work
+        self._np_cache: dict[str | tuple, np.ndarray | tuple] = {}
 
     # ---- construction helpers -------------------------------------------
 
@@ -229,11 +233,12 @@ class Field:
                 self.log = log
                 self.generator = g
                 return
-        raise AssertionError("no generator found")  # unreachable for q > 2
+        raise InvariantViolated("no generator found")  # unreachable for q > 2
 
     def _build_pair_lists(self) -> None:
         q = self.q
         add = [[0] * q for _ in range(q)]
+        neg = [0] * q
         for a in range(q):
             da = self.digits(a)
             row = add[a]
@@ -242,7 +247,10 @@ class Field:
                 s = _digits_int([(x + y) % self.p for x, y in zip(da, db)], self.p)
                 row[b] = s
                 add[b][a] = s
+                if s == 0:
+                    neg[a], neg[b] = b, a
         self._add_list = add
+        self._neg_list = neg
 
     # ---- scalar operations ----------------------------------------------
 
@@ -264,6 +272,8 @@ class Field:
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
+        if self._neg_list is not None:
+            return self._neg_list[a]
         return _digits_int([(-x) % self.p for x in self.digits(a)], self.p)
 
     def sub(self, a: int, b: int) -> int:
@@ -380,6 +390,8 @@ class Field:
     def digits_np(self, a: np.ndarray) -> np.ndarray:
         """Base-p digit expansion along a new last axis of length r."""
         a = np.asarray(a, dtype=np.int64)
+        if 1 < self.r and self.q <= TABLE_THRESHOLD:
+            return np.take(self._digit_table_np, a, axis=0)
         out = np.empty(a.shape + (self.r,), dtype=np.int64)
         rem = a
         for i in range(self.r):
@@ -397,16 +409,22 @@ class Field:
     def add_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.r == 1:
             return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
+        if self.q <= PAIR_TABLE_MAX:
+            return self._pair_np(self._pair_table_np("add"), a, b)
         return self.undigits_np(self.digits_np(a) + self.digits_np(b))
 
     def neg_np(self, a: np.ndarray) -> np.ndarray:
         if self.r == 1:
             return (-np.asarray(a, dtype=np.int64)) % self.p
+        if self.q <= PAIR_TABLE_MAX:
+            return self._pair_np(self._pair_table_np("sub"), 0, a)
         return self.undigits_np(-self.digits_np(a))
 
     def sub_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.r == 1:
             return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
+        if self.q <= PAIR_TABLE_MAX:
+            return self._pair_np(self._pair_table_np("sub"), a, b)
         return self.undigits_np(self.digits_np(a) - self.digits_np(b))
 
     def mul_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -414,8 +432,14 @@ class Field:
             return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
         table = self.mul_table_np
         if table is not None:
-            return table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)].astype(np.int64)
+            return self._pair_np(table.reshape(-1), a, b)
         return self._mul_np_digits(a, b)
+
+    def _pair_np(self, flat: np.ndarray, a, b) -> np.ndarray:
+        """Elementwise lookup in a flattened q*q operation table; a and b
+        must hold field elements, since a*q + b is the flat index."""
+        idx = np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)
+        return np.take(flat, idx).astype(np.int64, copy=False)
 
     def _mul_np_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da = self.digits_np(a)
@@ -458,8 +482,30 @@ class Field:
                 t = self._mul_np_digits(
                     np.repeat(idx, self.q), np.tile(idx, self.q)
                 ).reshape(self.q, self.q)
-            t = t.astype(np.int32)
-            self._np_cache["mul"] = t
+            t = self._np_cache.setdefault("mul", t.astype(np.int32))
+        return t
+
+    @property
+    def _digit_table_np(self) -> np.ndarray:
+        """(q, r) base-p digits of every element."""
+        t = self._np_cache.get("digits")
+        if t is None:
+            idx = np.arange(self.q, dtype=np.int64)
+            t = np.stack([idx // self.p**i % self.p for i in range(self.r)], axis=-1)
+            t = self._np_cache.setdefault("digits", t)
+        return t
+
+    def _pair_table_np(self, op: str) -> np.ndarray:
+        """Flattened q*q table of a + b ("add") or a - b ("sub"), for
+        q <= PAIR_TABLE_MAX (at most 8 MiB each), built one digit at a time."""
+        t = self._np_cache.get(op)
+        if t is None:
+            d = self._digit_table_np
+            sign = 1 if op == "add" else -1
+            t = np.zeros((self.q, self.q), dtype=np.int64)
+            for i in range(self.r):
+                t += (d[:, None, i] + sign * d[None, :, i]) % self.p * self.p**i
+            t = self._np_cache.setdefault(op, t.reshape(-1))
         return t
 
     @property
@@ -471,7 +517,7 @@ class Field:
             t = np.zeros(self.q, dtype=np.int32)
             for v in range(1, self.q):
                 t[v] = self.inv(v)
-            self._np_cache["inv"] = t
+            t = self._np_cache.setdefault("inv", t)
         return t
 
     @property
@@ -484,7 +530,7 @@ class Field:
                 sq = self.mul(z, z)
                 if t[sq] == -1 or z < t[sq]:
                     t[sq] = z
-            self._np_cache["sqrt"] = t
+            t = self._np_cache.setdefault("sqrt", t)
         return t
 
 
@@ -633,9 +679,23 @@ def parity_check(field: Field, rows):
 #
 # A dot product sum_j a_j * b_j over F_q expands over the prime subfield:
 # digit_t(a_j * b_j) = sum_s digits(a_j)[s] * digit_t(X^s * b_j).  Stacking
-# the right factors into W turns a batch of dot products into one integer
-# matmul, run exactly in floating point (magnitudes stay far below the
-# mantissa) so BLAS does the heavy lifting.
+# the right factors into W, shape (k*r, n*r) with column j*r + t holding
+# output digit t of point j, turns a batch of dot products into one integer
+# matmul run exactly in floating point, so BLAS does the heavy lifting.
+#
+# The zero test folds before it multiplies.  Each integer digit dot product
+# is a sum of k*r terms in [0, (p-1)^2], so it lies in [0, B) with
+# B = (p-1)^2*k*r + 1.  Weighting a point's r digit columns of W by 1, B,
+# B^2, ... and summing them in groups of g gives one column per group whose
+# product entry is sum_t B^t * dot_t: a radix-B number whose digits are the
+# digit dot products, with no carries because every digit is below B.  All
+# entries and partial sums are non-negative integers below B^g, so the float
+# matmul is exact in any summation order once B^g fits the mantissa.  The
+# F_q dot product is zero when every digit dot product is divisible by p,
+# which a boolean table indexed by the folded value answers in one lookup.
+
+ZERO_TABLE_MAX = 1 << 22          # largest cached zero table, in one-byte entries
+_ZERO_SLAB_ELEMS = 1 << 17        # folded entries cast and looked up per step
 
 
 def gemm_dtype(field: Field, k: int) -> type:
@@ -674,22 +734,75 @@ def rows_digits(field: Field, rows: np.ndarray, dtype=None) -> np.ndarray:
 
 
 def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Zero-dot mask from precomputed digit rows; see dot_zero_mask.
+    """Zero-dot mask (m, n) from digit rows (m, k*r) and W (k*r, n*r).
 
-    The float product is exact; the zero test converts to the smallest
-    integer type first because float remainder is an order of magnitude
-    slower than integer remainder.
+    Folds each point's r digit columns of W into ceil(r/g) radix-B columns
+    (see the section comment), runs one exact matmul, casts the product to
+    the smallest integer type holding B^g - 1 and looks each entry up in the
+    cached table ``zero[v]`` (every radix-B digit of v divisible by p),
+    ANDing the groups when g < r.  g is the largest group size with
+    B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans (4 MiB)
+    per (p, r, k*r); when B alone exceeds that, g = 1 and the test is
+    ``v % p == 0``.  float32 and float64 hold every integer below 2^24
+    exactly; a ``w.dtype`` that cannot hold B^g - 1 raises Overflow.  The
+    cast and the lookup run in slabs of about 2^17 entries, which bounds the
+    integer copy.  The product is formed point-major, (n, m), and the mask
+    is returned as its (m, n) transpose, so the per-row sum and any that
+    every caller takes run over contiguous memory.
     """
-    prod = digits.astype(w.dtype, copy=False) @ w
-    bound = (field.p - 1) ** 2 * digits.shape[1]
-    idtype = np.int16 if bound < (1 << 15) else np.int32 if bound < (1 << 31) else np.int64
-    iprod = prod.astype(idtype, copy=False)
-    iprod %= field.p
+    p, r = field.p, field.r
+    kr = digits.shape[1]
+    n = w.shape[1] // r
+    top, idtype, fold, table = _zero_plan(field, kr)
+    if top >= 1 << (np.finfo(w.dtype).nmant + 1):
+        raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
+    groups = fold.shape[1]
+    # group-major folded columns: group c of point j is column c*n + j
+    wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
+        kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
+    prod = wf.T @ digits.astype(w.dtype, copy=False).T
     m = digits.shape[0]
-    n = w.shape[1] // field.r
-    if field.r == 1:
-        return iprod == 0
-    return ~(iprod.reshape(m, n, field.r).any(axis=2))
+    out = np.empty((n, m), dtype=bool)
+    step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
+    for start in range(0, m, step):
+        vals = prod[:, start: start + step].astype(idtype)
+        # indices are below B^g by construction; 'clip' skips the buffered
+        # bounds check of the default mode
+        hits = vals % p == 0 if table is None else np.take(table, vals, mode="clip")
+        for c in range(1, groups):
+            hits[:n] &= hits[c * n: (c + 1) * n]
+        out[:, start: start + step] = hits[:n]
+    return out.T
+
+
+def _zero_plan(field: Field, kr: int) -> tuple:
+    """(B^g - 1, its integer dtype, fold matrix (r, ceil(r/g)), zero table or
+    None) for digit rows of width kr.
+
+    Cached in ``field._np_cache``: built completely, then published with one
+    setdefault, so threads that race only duplicate the work.
+    """
+    key = ("zero", kr)
+    plan = field._np_cache.get(key)
+    if plan is None:
+        p, r = field.p, field.r
+        base = (p - 1) ** 2 * kr + 1
+        g = 1
+        while g < r and base ** (g + 1) <= ZERO_TABLE_MAX:
+            g += 1
+        fold = np.zeros((r, -(-r // g)), dtype=np.float32)
+        for t in range(r):
+            fold[t, t // g] = base ** (t % g)
+        table = None
+        if base <= ZERO_TABLE_MAX:
+            digit_zero = np.zeros(base, dtype=bool)
+            digit_zero[::p] = True
+            table = digit_zero
+            for _ in range(g - 1):
+                table = (digit_zero[:, None] & table[None, :]).reshape(-1)
+        top = base**g - 1
+        plan = field._np_cache.setdefault(key, (top, np.min_scalar_type(top), fold, table))
+    return plan
 
 
 def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -421,7 +421,7 @@ def line_profile(curve: EllipticCurve, point) -> LineProfile:
         counts[meet.kind] += 1
     geo, has_nv = geometric_tangents(curve, p)
     if geo is not None and counts[KIND_TANGENT] > geo:
-        raise AssertionError("rational tangent count exceeds the closure count")
+        raise InvariantViolated("rational tangent count exceeds the closure count")
     return LineProfile(
         point=p,
         tangents=counts[KIND_TANGENT],
@@ -493,9 +493,9 @@ class LineSystem:
         kind[tri] = 2
         two = counts == 2
         if not tangent[two].all():
-            raise AssertionError("a two-point line escaped the tangent set")
+            raise InvariantViolated("a two-point line escaped the tangent set")
         if tangent[counts == 3].any():
-            raise AssertionError("a three-point line claims tangency")
+            raise InvariantViolated("a three-point line claims tangency")
         self.kind = kind
         self._tri_points_cache: dict[int, tuple] = {}
         self._tri_counts = None

@@ -160,3 +160,19 @@ def test_worker_count_does_not_change_reports(capsys, argv):
 def test_workers_flag_only_where_it_is_used(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, *argv, "--workers", "2")[0] == 1
+
+
+def test_invariant_violation_is_reported_as_an_error(capsys, monkeypatch):
+    import numpy as np
+
+    from ellnmds import code as code_mod
+
+    # a codeword path that disagrees with the incidence path trips the
+    # distance cross-check inside min_distance
+    monkeypatch.setattr(code_mod, "_codeword_weights", lambda code, budget: np.array([1]))
+    code, out, err = run_cli(
+        capsys, "classify", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "InvariantViolated: distance paths disagree" in err

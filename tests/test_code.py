@@ -15,6 +15,7 @@ from ellnmds.code import (
     extend,
     generator_matrix,
     h_extendability_oracle,
+    krawtchouk,
     macwilliams_transform,
     min_distance,
     parity_check,
@@ -139,6 +140,23 @@ def test_macwilliams_identity_code():
     for w in all_codewords(dual):
         brute[sum(1 for v in w if v)] += 1
     assert dual_dist == brute
+
+
+def test_macwilliams_transform_on_sweep_codes():
+    # the cached Krawtchouk matrix gives the sums of the pointwise formula,
+    # on first use and on a cache hit
+    for q in (7, 9, 13):
+        field = field_make(*((3, 2) if q == 9 else (q, 1)))
+        for curve in itertools.islice(curve_scan(field), 3):
+            n = curve.n
+            for k in range(3, min(6, n - 1) + 1):
+                a = weight_distribution(generator_matrix(curve, k))
+                expected = [
+                    sum(a[i] * krawtchouk(n, q, j, i) for i in range(n + 1)) // q**k
+                    for j in range(n + 1)
+                ]
+                assert macwilliams_transform(a, n, k, q) == expected
+                assert macwilliams_transform(a, n, k, q) == expected
 
 
 def test_extend_and_project_back():

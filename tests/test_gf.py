@@ -1,16 +1,21 @@
 import random
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellnmds import gf
 from ellnmds.errors import DivisionByZero, FieldMismatch, NotPrime, NotPrimePower, Overflow
 from ellnmds.gf import (
     Field,
     factor_prime_power,
     field_make,
     field_of_order,
+    gemm_dtype,
     gf_matmul,
     linear_w_matrix,
     dot_zero_mask,
@@ -155,12 +160,17 @@ def test_element_wrapper():
 
 
 def test_vector_ops_match_scalar():
-    for p, r in [(7, 1), (3, 2), (11, 2)]:
+    # q*q tables up to 1024 (9, 121, 625), digit and product tables up to
+    # 4096 (1369), digit arithmetic above (4489)
+    for p, r in [(7, 1), (3, 2), (11, 2), (5, 4), (37, 2), (67, 2)]:
         f = field_make(p, r)
         rng = np.random.default_rng(1)
         a = rng.integers(0, f.q, size=500)
         b = rng.integers(0, f.q, size=500)
+        assert np.array_equal(f.digits_np(a), [f.digits(int(x)) for x in a])
         assert np.array_equal(f.add_np(a, b), [f.add(int(x), int(y)) for x, y in zip(a, b)])
+        assert np.array_equal(f.sub_np(a, b), [f.sub(int(x), int(y)) for x, y in zip(a, b)])
+        assert np.array_equal(f.sub_np(a[0], b), [f.sub(int(a[0]), int(y)) for y in b])
         assert np.array_equal(f.mul_np(a, b), [f.mul(int(x), int(y)) for x, y in zip(a, b)])
         assert np.array_equal(f.neg_np(a), [f.neg(int(x)) for x in a])
         nz = np.where(a == 0, 1, a)
@@ -195,6 +205,134 @@ def test_dot_zero_mask():
             for t in range(3):
                 acc = f.add(acc, f.mul(int(rows[i, t]), int(pts[j, t])))
             assert mask[i, j] == (acc == 0)
+
+
+def _scalar_dot(field, x, c):
+    acc = 0
+    for a, b in zip(x, c):
+        acc = field.add(acc, field.mul(int(a), int(b)))
+    return acc
+
+
+def _rows_with_zero_dots(field, rng, m, cols):
+    """Random rows; about half have dot 0 and a quarter dot 1 with a random column."""
+    k = cols.shape[1]
+    rows = rng.integers(0, field.q, size=(m, k))
+    for row in rows:
+        j = int(rng.integers(len(cols)))
+        last = int(cols[j, -1])
+        target = int(rng.choice([0, 0, 1, -1]))
+        if last and target >= 0:
+            rest = _scalar_dot(field, row[:-1], cols[j, :-1])
+            row[-1] = field.div(field.sub(target, rest), last)
+    return rows
+
+
+# (q, k) pairs reaching each branch of the folded zero test
+_GROUPED = [(81, 6), (243, 6), (243, 3)]               # g < r: groups are ANDed
+_REMAINDER = [(1021, 5), (1021**2, 3), (4099, 3)]      # B > 2^22: v % p, no table
+_AT_LIMIT = [(1021, 4), (2039, 4)]                     # B^g just under 2^22; B just under 2^24
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    qk=st.one_of(
+        st.tuples(st.sampled_from([7, 9, 13, 25, 27, 121]), st.integers(3, 6)),
+        st.sampled_from(_GROUPED + _REMAINDER + _AT_LIMIT),
+    ),
+    m=st.integers(1, 12),
+    n=st.integers(1, 9),
+    slab=st.sampled_from([1, 7, 1 << 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dot_zero_mask_matches_scalar_dots(qk, m, n, slab, seed):
+    q, k = qk
+    field = field_of_order(q)
+    rng = np.random.default_rng(seed)
+    cols = rng.integers(0, q, size=(n, k))
+    rows = _rows_with_zero_dots(field, rng, m, cols)
+    w = linear_w_matrix(field, cols)
+    with mock.patch.object(gf, "_ZERO_SLAB_ELEMS", slab):
+        mask = dot_zero_mask(field, rows, w)
+    expected = [[_scalar_dot(field, x, c) == 0 for c in cols] for x in rows]
+    assert mask.tolist() == expected
+
+
+def _plan(q, k):
+    field = field_of_order(q)
+    top, _, fold, table = gf._zero_plan(field, k * field.r)
+    return field, top, fold.shape[1], table
+
+
+def test_fold_branch_cases_reach_their_branch():
+    for q, k in _GROUPED:
+        field, _, groups, table = _plan(q, k)
+        assert 1 < groups < field.r and table is not None
+    for q, k in _REMAINDER:
+        _, top, _, table = _plan(q, k)
+        assert table is None and top >= gf.ZERO_TABLE_MAX
+    (q_small, k_small), (q_large, k_large) = _AT_LIMIT
+    _, top, _, table = _plan(q_small, k_small)
+    assert table is not None and 0.99 * gf.ZERO_TABLE_MAX < top + 1 <= gf.ZERO_TABLE_MAX
+    field, top, _, table = _plan(q_large, k_large)
+    assert table is None and gemm_dtype(field, k_large) is np.float32
+    assert 0.99 * (1 << 24) < top < 1 << 24
+
+
+def test_zero_table_marks_exactly_the_all_divisible_numbers():
+    for q, k in [(9, 3), (27, 3), (13, 4)]:
+        field, top, _, table = _plan(q, k)
+        base = (field.p - 1) ** 2 * k * field.r + 1
+        v = np.arange(top + 1)
+        expected = np.ones(v.size, dtype=bool)
+        while v.any():
+            expected &= v % base % field.p == 0
+            v //= base
+        assert top + 1 in (base**g for g in range(1, field.r + 1))
+        assert np.array_equal(table, expected)
+
+
+def test_dot_zero_mask_rejects_an_inexact_dtype():
+    field = field_of_order(4099)
+    cols = np.ones((2, 3), dtype=np.int64)
+    w = linear_w_matrix(field, cols, np.float32)
+    with pytest.raises(Overflow):
+        dot_zero_mask(field, cols, w)
+
+
+def test_zero_table_cache_is_shared_across_threads():
+    field = Field(11, 2)  # fresh instance: empty table cache
+    rng = np.random.default_rng(5)
+    cols = rng.integers(0, field.q, size=(30, 4))
+    rows = _rows_with_zero_dots(field, rng, 400, cols)
+    workers = 6
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(i):
+        start.wait(timeout=30)
+        w = linear_w_matrix(field, cols)
+        results[i] = (dot_zero_mask(field, rows, w), gf._zero_plan(field, 8))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    masks, plans = zip(*results)
+    expected = [[_scalar_dot(field, x, c) == 0 for c in cols] for x in rows[:40]]
+    assert masks[0][:40].tolist() == expected
+    assert all(np.array_equal(mk, masks[0]) for mk in masks)
+    cached = field._np_cache[("zero", 8)]
+    assert all(plan is cached for plan in plans)
+    assert [key for key in field._np_cache if key[0] == "zero"] == [("zero", 8)]
+    assert cached[3].size == cached[0] + 1 <= gf.ZERO_TABLE_MAX
 
 
 def test_factor_prime_power():
