@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
     DivisionByZero,
     EllnmdsError,
     EvenCharacteristic,
-    FieldMismatch,
     FrameViolation,
     HypothesisNotMet,
     InvariantViolated,
@@ -30,7 +29,7 @@ from .errors import (  # noqa: F401
     ScanLimitExceeded,
     Singular,
 )
-from .gf import Field, FieldElement, field_make, field_of_order  # noqa: F401
+from .gf import Field, field_make, field_of_order  # noqa: F401
 from .curve import (  # noqa: F401
     INFINITY,
     CurveSummary,
@@ -51,7 +50,6 @@ from .geometry import (  # noqa: F401
     normalize_coords,
     phi_k,
     psi,
-    secant_count,
 )
 from .code import (  # noqa: F401
     Classification,
@@ -78,5 +76,4 @@ from .extendability import (  # noqa: F401
     k5_candidates,
     verify_main_theorem,
     verify_zero_j_theorem,
-    witness_hyperplane,
 )

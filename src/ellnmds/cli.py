@@ -197,9 +197,8 @@ def cmd_verify(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
     verifier = verify_zero_j_theorem if args.theorem == "j0" else verify_main_theorem
-    kwargs = {} if args.theorem == "j0" else {"workers": args.workers}
     report = verifier(curve, args.k, budget, seed=args.seed, sample=args.sample,
-                      force=args.force, **kwargs)
+                      force=args.force, workers=args.workers)
     payload = {"field": field.descriptor()}
     payload.update(report.to_json_dict())
     _emit(args, payload, budget,

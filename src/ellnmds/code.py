@@ -22,6 +22,7 @@ from .gf import (  # noqa: F401  (parity_check is re-exported)
     Field,
     dot_zero_mask,
     dot_zero_mask_digits,
+    field_of_order,
     linear_w_matrix,
     parity_check,
     rank_gf,
@@ -76,8 +77,6 @@ class LinearCode:
 def parse_matrix_text(text: str) -> LinearCode:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     q, k, n = (int(t) for t in lines[0].split())
-    from .gf import field_of_order
-
     field = field_of_order(q)
     rows = [[int(t) for t in ln.split()] for ln in lines[1 : k + 1]]
     if len(rows) != k or any(len(r) != n for r in rows):
@@ -256,14 +255,12 @@ class Classification:
         }
 
 
-def classify(code: LinearCode, budget: Budget | None = None,
-             dual_via_distribution: bool | None = None) -> Classification:
-    """Singleton defects of the code and its dual, and the derived label."""
+def classify(code: LinearCode, budget: Budget | None = None) -> Classification:
+    """Singleton defects of the code and its dual, and the derived label; an
+    arc code takes its dual distance from the MacWilliams transform."""
     budget = ensure_budget(budget)
     d = min_distance(code, budget)
-    if dual_via_distribution is None:
-        dual_via_distribution = code.arc is not None
-    if dual_via_distribution and code.k == len(code.rows):
+    if code.arc is not None and code.k == len(code.rows):
         d_dual = dual_min_distance_from_distribution(code, budget)
         code._d_dual = code._d_dual or d_dual
     else:

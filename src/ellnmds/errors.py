@@ -23,10 +23,6 @@ class DivisionByZero(EllnmdsError):
     pass
 
 
-class FieldMismatch(EllnmdsError):
-    pass
-
-
 class EvenCharacteristic(EllnmdsError):
     pass
 

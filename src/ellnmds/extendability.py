@@ -45,7 +45,7 @@ from .geometry import (
     phi_k,
     proj_space_size,
 )
-from .secants import KIND_TRISECANT, LineSystem, line_meet
+from .secants import KIND_TRISECANT, LineSystem, line_meet, zero_j_hypotheses
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_VIOLATION = "VIOLATION"
@@ -359,12 +359,6 @@ class WitnessContext:
         return self._finish(q_n, tag, hyper, list(self.xy_set), triple)
 
 
-def witness_hyperplane(arc: EllipticArc, point, context: WitnessContext | None = None) -> WitnessReport:
-    """Self-verifying full hyperplane through the point, or NoWitnessFound."""
-    ctx = context or WitnessContext(arc)
-    return ctx.witness(point)
-
-
 def k5_candidates(curve: EllipticCurve, arc: EllipticArc) -> tuple[list[tuple], tuple]:
     """Points the dimension-5 case analysis cannot rule out.
 
@@ -490,9 +484,9 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
         elif k == 4:
             _verify_k4(curve, budget, report, workers)
         elif k == 5:
-            _verify_k5(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K5, force)
+            _verify_k5(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K5, force, workers)
         else:
-            _verify_k6(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K6, force)
+            _verify_k6(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K6, force, workers)
     except BudgetExceeded as exc:
         report.verdict = VERDICT_BUDGET_PARTIAL
         report.notes.append(f"budget: {exc}")
@@ -530,14 +524,14 @@ def _verify_k4(curve, budget, report, workers=1):
         )
 
 
-def _framed_arc(curve, k, budget, report, force):
+def _framed_arc(curve, k, budget, report, force, workers):
     """Arc of the frame-normalized curve, or (None, None) after recording a
     full addable scan of the original curve when no frame exists."""
     try:
         framed, frame = choose_frame(curve, force=force)
     except NoFrameFound:
         report.notes.append("no frame found; falling back to a full addable scan")
-        addable = addable_points(arc_make(curve, k, budget), budget)
+        addable = addable_points(arc_make(curve, k, budget), budget, workers=workers)
         report.addable = addable
         report.complete = not addable
         if addable:
@@ -547,8 +541,8 @@ def _framed_arc(curve, k, budget, report, force):
     return arc_make(framed, k, budget), framed
 
 
-def _verify_k5(curve, budget, report, seed, sample, force):
-    arc, framed = _framed_arc(curve, 5, budget, report, force)
+def _verify_k5(curve, budget, report, seed, sample, force, workers):
+    arc, framed = _framed_arc(curve, 5, budget, report, force, workers)
     if arc is None:
         return
     ctx = WitnessContext(arc)
@@ -591,7 +585,7 @@ def _verify_k5(curve, budget, report, seed, sample, force):
     # the optional whole-space scan, only when the budget allows it
     try:
         budget.check("optional_full_scan", proj_space_size(field.q, 5) * arc.n)
-        full = addable_points(arc, budget)
+        full = addable_points(arc, budget, workers=workers)
         if sorted(full) != sorted(report.addable):
             report.verdict = VERDICT_VIOLATION
             report.notes.append("full scan disagrees with the candidate-restricted scan")
@@ -600,8 +594,8 @@ def _verify_k5(curve, budget, report, seed, sample, force):
         report.notes.append("optional full ambient scan skipped (budget)")
 
 
-def _verify_k6(curve, budget, report, seed, sample, force):
-    arc, _ = _framed_arc(curve, 6, budget, report, force)
+def _verify_k6(curve, budget, report, seed, sample, force, workers):
+    arc, _ = _framed_arc(curve, 6, budget, report, force, workers)
     if arc is None:
         return
     _sample_witnesses(WitnessContext(arc), seed, sample, arc.encs, budget, report)
@@ -613,20 +607,19 @@ def _verify_k6(curve, budget, report, seed, sample, force):
 
 def verify_zero_j_theorem(curve: EllipticCurve, k: int, budget: Budget | None = None,
                           seed: int = 0, sample: int | None = None,
-                          force: bool = False) -> VerdictReport:
+                          force: bool = False, workers: int = 1) -> VerdictReport:
     """Same program under the zero-j hypothesis gate.
 
     The gate needs q > 9887, so at scan scales it never opens; a forced run
     executes the same checks and tags the report.
     """
-    from .secants import zero_j_hypotheses
-
     if not zero_j_hypotheses(curve) and not force:
         raise HypothesisNotMet(
             "zero-j gate: needs p > 3, q > 9887, j = 0, even point count, "
             "and an even extension degree or p = 1 mod 3"
         )
-    report = verify_main_theorem(curve, k, budget, seed=seed, sample=sample, force=True)
+    report = verify_main_theorem(curve, k, budget, seed=seed, sample=sample, force=True,
+                                 workers=workers)
     report.theorem = "j0"
     if not zero_j_hypotheses(curve):
         report.out_of_hypothesis = True

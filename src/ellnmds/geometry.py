@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,20 @@ from .errors import (
     KOutOfRange,
     ensure_budget,
 )
-from .gf import Field, dot_zero_mask, linear_w_matrix, parity_check
+from .gf import (
+    Field,
+    dot_zero_mask,
+    dot_zero_mask_digits,
+    gemm_dtype,
+    linear_w_matrix,
+    parity_check,
+    rows_digits,
+)
 
 EAGER_VERIFY_LIMIT = 20_000_000  # incidence tests; arc property checked at build below this
 _CHUNK_FLOATS = 24_000_000       # working-set bound for scan chunks
+_FULLS_START_BATCH = 32          # hyperplanes in filter_by_fulls' first batch
+_FULLS_MAX_BATCH = 4096          # ... and its largest, after doubling
 
 
 def proj_space_size(q: int, k: int) -> int:
@@ -95,8 +107,6 @@ def proj_reps_cached(field: Field, k: int):
     key = (field.p, field.r, k)
     hit = _REPS_CACHE.get(key)
     if hit is None:
-        from .gf import gemm_dtype, rows_digits
-
         coords = np.vstack(list(proj_reps(field, k)))
         digits = rows_digits(field, coords, gemm_dtype(field, k))
         hit = (coords, digits)
@@ -220,11 +230,6 @@ class EllipticArc(ProjPointSet):
         self.curve = curve
 
 
-def secant_count(hyperplane, ps: ProjPointSet) -> int:
-    """Number of points of the set incident with the hyperplane."""
-    return ps.secant_count(hyperplane)
-
-
 def arc_make(curve: EllipticCurve, k: int, budget: Budget | None = None) -> EllipticArc:
     """Embed the curve's point list; verifies the no-(k+1)-coplanar property.
 
@@ -261,9 +266,6 @@ def _map_ordered(fn, items, workers: int):
         for item in items:
             yield fn(item)
         return
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for item in items:
@@ -299,13 +301,9 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
                 sl = slice(start, start + step)
                 yield coords_all[sl], digits_all[sl]
         else:
-            from .gf import gemm_dtype, rows_digits
-
             dtype = gemm_dtype(field, k)
             for coords in proj_reps(field, k, step):
                 yield coords, rows_digits(field, coords, dtype)
-
-    from .gf import dot_zero_mask_digits
 
     def work(pair):
         coords, digits = pair
@@ -327,8 +325,7 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
     return profile, full_arr
 
 
-def filter_by_fulls(field: Field, cand: np.ndarray, fulls: np.ndarray,
-                    start_batch: int = 32, max_batch: int = 4096) -> np.ndarray:
+def filter_by_fulls(field: Field, cand: np.ndarray, fulls: np.ndarray) -> np.ndarray:
     """Remove candidate points lying on any of the given hyperplanes.
 
     Walks the hyperplane list in doubling batches; most candidates die early,
@@ -337,14 +334,14 @@ def filter_by_fulls(field: Field, cand: np.ndarray, fulls: np.ndarray,
     if len(cand) == 0 or len(fulls) == 0:
         return cand
     pos = 0
-    batch = start_batch
+    batch = _FULLS_START_BATCH
     while pos < len(fulls) and len(cand):
         block = fulls[pos: pos + batch]
         w = linear_w_matrix(field, block)
         on_any = dot_zero_mask(field, cand, w).any(axis=1)
         cand = cand[~on_any]
         pos += len(block)
-        batch = min(batch * 2, max_batch)
+        batch = min(batch * 2, _FULLS_MAX_BATCH)
     return cand
 
 
@@ -482,13 +479,12 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
     return np.vstack(keep) if keep else np.empty((0, k), dtype=np.int64)
 
 
-def addable_filter(ps: ProjPointSet, candidates, budget: Budget | None = None,
-                   fulls: np.ndarray | None = None) -> list[tuple[int, ...]]:
+def addable_filter(ps: ProjPointSet, candidates,
+                   budget: Budget | None = None) -> list[tuple[int, ...]]:
     """Addability test restricted to a candidate point list.
 
     Uses subset-span enumeration of full hyperplanes, so the cost scales with
-    C(n, k-1) instead of the hyperplane count of the whole space.  A
-    precomputed full-hyperplane array for the same point set may be passed.
+    C(n, k-1) instead of the hyperplane count of the whole space.
     """
     budget = ensure_budget(budget)
     field = ps.field
@@ -498,8 +494,7 @@ def addable_filter(ps: ProjPointSet, candidates, budget: Budget | None = None,
     order = np.argsort(coords_to_enc(cand, field.q), kind="stable")
     cand = cand[order]
     cand = cand[~np.isin(coords_to_enc(cand, field.q), ps.encs)]
-    if fulls is None:
-        fulls = full_hyperplanes_via_subsets(ps, budget)
+    fulls = full_hyperplanes_via_subsets(ps, budget)
     survivors = filter_by_fulls(field, cand, fulls)
     return [tuple(int(c) for c in row) for row in survivors]
 
@@ -522,8 +517,6 @@ def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = No
     reps, reps_digits = cached
     space = len(reps)
     budget.charge("extension_chain", space * (ps.n + limit) * (limit + 1) * 8)
-    from .gf import dot_zero_mask_digits
-
     base_cols = ps.coords
     w_reps = linear_w_matrix(field, reps)
     memo: dict[tuple, int] = {}

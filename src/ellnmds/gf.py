@@ -7,10 +7,14 @@ smallest monic irreducible of degree r over F_p (coefficients compared from
 degree 0 upward), so encodings are reproducible across runs.
 
 Scalar operations work on the integer encodings.  Vector operations accept
-numpy integer arrays and are table-driven for small fields.  The digit-level
-matrix product helpers at the bottom turn bulk dot products over F_q into a
-single exact floating-point matmul over the prime subfield, which is what the
-projective scans elsewhere in the package run on.
+numpy integer arrays and are table-driven for small fields: the exp/log
+tables come from one digit-convolution multiply, and the product, inverse
+and square-root tables are derived from them by vector code.  Polynomials
+over a field (coefficient lists) have one toolkit here, used for the modulus
+search and by the tangent and root computations in :mod:`ellnmds.secants`.
+The digit-level matrix product helpers at the bottom turn bulk dot products
+over F_q into a single exact floating-point matmul over the prime subfield,
+which is what the projective scans elsewhere in the package run on.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     EvenCharacteristic,
-    FieldMismatch,
     InvariantViolated,
     NotPrime,
     NotPrimePower,
@@ -30,8 +33,9 @@ from .errors import (
 )
 
 MAX_FIELD_ORDER = 1 << 20
-TABLE_THRESHOLD = 4096   # log/exp tables kept below this order
-PAIR_TABLE_MAX = 1024    # full q*q add/mul tables below this order
+TABLE_THRESHOLD = 4096   # log/exp, product and inverse tables up to this order
+PAIR_TABLE_MAX = 1024    # q*q add and sub tables up to this order
+_TABLE_BLOCK_ELEMS = 1 << 16  # entries per block when a table is built blockwise
 
 
 def is_prime(n: int) -> bool:
@@ -68,41 +72,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     raise NotPrimePower(f"{q} is not a prime power")
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic m, coefficients in F_p, degree-0 first."""
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        shift = len(a) - 1 - dm
-        lead = a[-1] % p
-        if lead:
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_is_zero(a: list[int]) -> bool:
-    return all(c == 0 for c in a)
-
-
-def _irreducible(candidate: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(candidate) - 1
-    for d in range(1, deg // 2 + 1):
-        for m in range(p**d):
-            divisor = _int_digits(m, p, d) + [1]
-            if _poly_is_zero(_poly_mod(candidate, divisor, p)):
-                return False
-    return True
-
-
 def _int_digits(e: int, p: int, r: int) -> list[int]:
     out = []
     for _ in range(r):
@@ -118,21 +87,104 @@ def _digits_int(c: list[int], p: int) -> int:
     return e
 
 
-def _smallest_irreducible(p: int, r: int) -> list[int]:
+# ---- polynomials over a field ------------------------------------------------
+#
+# Coefficient lists, degree 0 first, with entries encoded in ``field``; the
+# zero polynomial is [0] and has degree -1.
+
+
+def _pdeg(poly) -> int:
+    d = len(poly) - 1
+    while d > 0 and poly[d] == 0:
+        d -= 1
+    return d if any(poly) else -1
+
+
+def _ptrim(poly):
+    d = _pdeg(poly)
+    return [0] if d < 0 else list(poly[: d + 1])
+
+
+def _padd(field, a, b):
+    n = max(len(a), len(b))
+    return _ptrim([
+        field.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+        for i in range(n)
+    ])
+
+
+def _psub(field, a, b):
+    n = max(len(a), len(b))
+    return _ptrim([
+        field.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+        for i in range(n)
+    ])
+
+
+def _pmul(field, a, b):
+    if _pdeg(a) < 0 or _pdeg(b) < 0:
+        return [0]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return _ptrim(out)
+
+
+def _pscale(field, a, s):
+    return _ptrim([field.mul(s, v) for v in a])
+
+
+def _pderiv(field, a):
+    return _ptrim([field.mul(i % field.p, a[i]) for i in range(1, len(a))]) if len(a) > 1 else [0]
+
+
+def _pgcd(field, a, b):
+    a, b = _ptrim(a), _ptrim(b)
+    while _pdeg(b) >= 0:
+        a, b = b, _pdivmod(field, a, b)[1]
+    return a
+
+
+def _pdivmod(field, a, b):
+    a = list(a)
+    db = _pdeg(b)
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = field.inv(b[db])
+    quot = [0] * max(1, _pdeg(a) - db + 1)
+    while _pdeg(a) >= db:
+        da = _pdeg(a)
+        coef = field.mul(a[da], inv)
+        quot[da - db] = coef
+        for i in range(db + 1):
+            a[da - db + i] = field.sub(a[da - db + i], field.mul(coef, b[i]))
+    return _ptrim(quot), _ptrim(a)
+
+
+def _smallest_modulus(fp: "Field", r: int) -> list[int]:
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
     Candidates X^r + c_{r-1}X^{r-1} + ... + c_0 are ordered by the coefficient
     tuple (c_0, ..., c_{r-1}); the prime-field convention is the polynomial X.
+    Irreducibility is trial division by every monic polynomial of degree at
+    most r/2.
     """
     if r == 1:
         return [0, 1]
+    p = fp.p
     for m in range(p**r):
         # big-endian decode so increasing m walks tuples in lex order
-        digits = _int_digits(m, p, r)[::-1]
-        candidate = digits + [1]
+        candidate = _int_digits(m, p, r)[::-1] + [1]
         if candidate[0] == 0:
             continue  # root at zero, never irreducible
-        if _irreducible(candidate, p):
+        if all(
+            _pdeg(_pdivmod(fp, candidate, _int_digits(e, p, d) + [1])[1]) >= 0
+            for d in range(1, r // 2 + 1)
+            for e in range(p**d)
+        ):
             return candidate
     raise InvariantViolated("no irreducible polynomial found")  # unreachable
 
@@ -144,27 +196,27 @@ class Field:
     arguments and precomputed tables.
     """
 
-    def __init__(self, p: int, r: int, max_order: int = MAX_FIELD_ORDER):
+    def __init__(self, p: int, r: int):
         if p < 2 or not is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if r < 1:
             raise ValueError("extension degree must be >= 1")
         q = p**r
-        if q > max_order:
-            raise Overflow(f"field order {q} exceeds maximum {max_order}")
+        if q > MAX_FIELD_ORDER:
+            raise Overflow(f"field order {q} exceeds maximum {MAX_FIELD_ORDER}")
         self.p = p
         self.r = r
         self.q = q
-        self.modulus = tuple(_smallest_irreducible(p, r))
+        # numpy tables, each built completely on first use and published
+        # with one setdefault, so worker threads that race only duplicate work
+        self._np_cache: dict[str | tuple, np.ndarray | tuple] = {}
+        fp = self if r == 1 else field_make(p)
+        self.modulus = tuple(_smallest_modulus(fp, r))
         # digit rows of X^m mod modulus for m in [r, 2r-2], used in reduction
         self._xpow = []
-        row = _int_digits(0, p, r)
-        if r > 1:
-            row = [(-c) % p for c in self.modulus[:r]]  # X^r = -(low part)
-            self._xpow.append(row[:])
-            for _ in range(r - 2):
-                row = self._shift_reduce(row)
-                self._xpow.append(row[:])
+        for m in range(r, 2 * r - 1):
+            row = _pdivmod(fp, [0] * m + [1], self.modulus)[1]
+            self._xpow.append(row + [0] * (r - len(row)))
         self.exp: list[int] | None = None
         self.log: list[int] | None = None
         self.generator: int | None = None
@@ -173,84 +225,33 @@ class Field:
         self._add_list: list[list[int]] | None = None
         self._neg_list: list[int] | None = None
         if q <= PAIR_TABLE_MAX and r > 1:
-            self._build_pair_lists()
-        # lazily built numpy tables; each is built completely and published
-        # with one setdefault, so worker threads that race only duplicate work
-        self._np_cache: dict[str | tuple, np.ndarray | tuple] = {}
-
-    # ---- construction helpers -------------------------------------------
-
-    def _shift_reduce(self, row: list[int]) -> list[int]:
-        """Multiply a digit row by X and reduce once."""
-        p, r = self.p, self.r
-        carry = row[-1]
-        out = [0] + row[:-1]
-        if carry:
-            base = self._xpow[0]
-            out = [(o + carry * b) % p for o, b in zip(out, base)]
-        return out
-
-    def _mul_digits(self, da: list[int], db: list[int]) -> list[int]:
-        p, r = self.p, self.r
-        conv = [0] * (2 * r - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:r]
-        for m in range(r, 2 * r - 1):
-            cm = conv[m]
-            if cm:
-                row = self._xpow[m - r]
-                out = [(o + cm * b) % p for o, b in zip(out, row)]
-        return out
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        return _digits_int(self._mul_digits(self.digits(a), self.digits(b)), self.p)
+            self._add_list = self._pair_table_np("add").reshape(q, q).tolist()
+            self._neg_list = self._pair_table_np("sub")[:q].tolist()  # the row 0 - b
 
     def _build_log_tables(self) -> None:
+        """exp/log tables of the smallest primitive element g, whose powers
+        g^0 .. g^(q-2) are taken by doubling: each round multiplies the
+        powers so far by the next power of g, until a second 1 shows that
+        the order of g is below q - 1."""
         q = self.q
         if q == 2:
             self.exp, self.log, self.generator = [1], [0, 0], 1
             return
         for g in range(2, q):
-            exp = [1]
-            x = 1
-            proper = True
-            for _ in range(q - 2):
-                x = self._mul_raw(x, g)
-                if x == 1:
-                    proper = False  # multiplicative order divides a smaller exponent
-                    break
-                exp.append(x)
-            if proper and self._mul_raw(x, g) == 1:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self.exp = exp
-                self.log = log
+            powers = np.ones(1, dtype=np.int64)
+            step = np.int64(g)  # g ** len(powers)
+            while len(powers) < q - 1 and np.count_nonzero(powers == 1) == 1:
+                powers = np.concatenate([powers, self._mul_np_digits(powers, step)])
+                step = self._mul_np_digits(step, step)
+            powers = powers[: q - 1]
+            if np.count_nonzero(powers == 1) == 1:  # no smaller order than q - 1
+                log = np.zeros(q, dtype=np.int64)
+                log[powers] = np.arange(q - 1)
+                self.exp = powers.tolist()
+                self.log = log.tolist()
                 self.generator = g
                 return
         raise InvariantViolated("no generator found")  # unreachable for q > 2
-
-    def _build_pair_lists(self) -> None:
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for a in range(q):
-            da = self.digits(a)
-            row = add[a]
-            for b in range(a, q):
-                db = self.digits(b)
-                s = _digits_int([(x + y) % self.p for x, y in zip(da, db)], self.p)
-                row[b] = s
-                add[b][a] = s
-                if s == 0:
-                    neg[a], neg[b] = b, a
-        self._add_list = add
-        self._neg_list = neg
 
     # ---- scalar operations ----------------------------------------------
 
@@ -286,7 +287,7 @@ class Field:
             return 0
         if self.log is not None:
             return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
+        return int(self._mul_np_digits(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -368,11 +369,6 @@ class Field:
             e = i
         return root
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.q if self.r == 1 else value)
-
-    __call__ = element
-
     def descriptor(self) -> dict:
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
 
@@ -442,6 +438,9 @@ class Field:
         return np.take(flat, idx).astype(np.int64, copy=False)
 
     def _mul_np_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products by digit convolution and reduction with the X^m rows: the
+        one multiply that needs no table, behind the exp/log tables and the
+        scalar and vector products of fields without them."""
         da = self.digits_np(a)
         db = self.digits_np(b)
         r = self.r
@@ -471,18 +470,21 @@ class Field:
 
     @property
     def mul_table_np(self) -> np.ndarray | None:
+        """(q, q) int32 products, from the exp/log tables a block of rows at
+        a time, so the int64 index temporaries stay near _TABLE_BLOCK_ELEMS."""
         if self.q > TABLE_THRESHOLD:
             return None
         t = self._np_cache.get("mul")
         if t is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            if self.r == 1:
-                t = (idx[:, None] * idx[None, :]) % self.p
-            else:
-                t = self._mul_np_digits(
-                    np.repeat(idx, self.q), np.tile(idx, self.q)
-                ).reshape(self.q, self.q)
-            t = self._np_cache.setdefault("mul", t.astype(np.int32))
+            q = self.q
+            log = np.asarray(self.log, dtype=np.int64)
+            exp2 = np.asarray(self.exp * 2, dtype=np.int32)  # exponents up to 2q - 4
+            t = np.zeros((q, q), dtype=np.int32)
+            step = max(1, _TABLE_BLOCK_ELEMS // q)
+            for start in range(1, q, step):
+                stop = min(q, start + step)
+                t[start:stop, 1:] = exp2[log[start:stop, None] + log[None, 1:]]
+            t = self._np_cache.setdefault("mul", t)
         return t
 
     @property
@@ -514,112 +516,43 @@ class Field:
             return None
         t = self._np_cache.get("inv")
         if t is None:
+            log = np.asarray(self.log[1:], dtype=np.int64)
             t = np.zeros(self.q, dtype=np.int32)
-            for v in range(1, self.q):
-                t[v] = self.inv(v)
+            t[1:] = np.asarray(self.exp, dtype=np.int32)[-log % (self.q - 1)]
             t = self._np_cache.setdefault("inv", t)
         return t
 
     @property
     def sqrt_table_np(self) -> np.ndarray:
-        """Minimal square root per element, -1 where none exists."""
+        """Minimal square root per element, -1 where none exists.
+
+        Both roots z and -z of a square write the same value min(z, -z), so
+        the table does not depend on the order of repeated assignments."""
         t = self._np_cache.get("sqrt")
         if t is None:
             t = np.full(self.q, -1, dtype=np.int64)
-            for z in range(self.q):
-                sq = self.mul(z, z)
-                if t[sq] == -1 or z < t[sq]:
-                    t[sq] = z
+            for start in range(0, self.q, _TABLE_BLOCK_ELEMS):
+                z = np.arange(start, min(self.q, start + _TABLE_BLOCK_ELEMS), dtype=np.int64)
+                t[self.mul_np(z, z)] = np.minimum(z, self.neg_np(z))
             t = self._np_cache.setdefault("sqrt", t)
         return t
 
 
-class FieldElement:
-    """Thin operator-overloading wrapper over an integer encoding."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        if not 0 <= value < field.q:
-            raise ValueError(f"encoding {value} out of range for {field}")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int | None:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p if self.field.r == 1 else other
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == (other % self.field.q if self.field.r == 1 else other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.r, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF({self.field.q})[{self.value}]"
-
-
 @lru_cache(maxsize=None)
-def _field_cached(p: int, r: int, max_order: int) -> Field:
-    return Field(p, r, max_order)
+def _field_cached(p: int, r: int) -> Field:
+    return Field(p, r)
 
 
-def field_make(p: int, r: int = 1, max_order: int = MAX_FIELD_ORDER) -> Field:
+def field_make(p: int, r: int = 1) -> Field:
     """Field of order p^r with the deterministic smallest modulus."""
     if p < 2:
         raise NotPrime(f"characteristic {p} is not prime")
-    return _field_cached(p, r, max_order)
+    return _field_cached(p, r)
 
 
-def field_of_order(q: int, max_order: int = MAX_FIELD_ORDER) -> Field:
+def field_of_order(q: int) -> Field:
     p, r = factor_prime_power(q)
-    return field_make(p, r, max_order)
+    return field_make(p, r)
 
 
 # ---- row reduction ---------------------------------------------------------
@@ -809,14 +742,3 @@ def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Boolean mask (m, n): True where the F_q dot product is zero."""
     return dot_zero_mask_digits(field, rows_digits(field, rows, w.dtype), w)
 
-
-def gf_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over F_q on integer encodings: (m,k) @ (k,n) -> (m,n)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    w = linear_w_matrix(field, b.T)
-    prod = (rows_digits(field, a, w.dtype) @ w).astype(np.int64)
-    prod %= field.p
-    m = a.shape[0]
-    n = b.shape[1]
-    return field.undigits_np(prod.reshape(m, n, field.r))

@@ -30,7 +30,7 @@ import numpy as np
 from .curve import INFINITY, EllipticCurve
 from .errors import InvariantViolated, PointOnCurve
 from .geometry import normalize_coords
-from .gf import rank_gf
+from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim, rank_gf
 
 KIND_SPARSE = "sparse"
 KIND_TANGENT = "tangent"
@@ -126,25 +126,14 @@ def _cubic_roots_with_multiplicity(field, coeffs):
     for root in roots:
         mult = 0
         work = poly
-        while len(work) > 1:
-            quot, rem = _synthetic_division(field, work, root)
-            if rem != 0:
+        while _pdeg(work) > 0:
+            quot, rem = _pdivmod(field, work, [field.neg(root), 1])
+            if _pdeg(rem) >= 0:
                 break
             mult += 1
             work = quot
         out.append((root, mult))
     return out
-
-
-def _synthetic_division(field, poly, root):
-    """Divide poly (low-first coefficients) by (X - root)."""
-    acc = 0
-    quot = [0] * (len(poly) - 1)
-    for i in range(len(poly) - 1, 0, -1):
-        acc = field.add(poly[i], field.mul(acc, root))
-        quot[i - 1] = acc
-    rem = field.add(poly[0], field.mul(acc, root))
-    return quot, rem
 
 
 def line_meet(curve: EllipticCurve, dual) -> LineMeet:
@@ -235,77 +224,6 @@ def _enc3(q, d):
 
 
 # ---- closure tangency via the slope discriminant ---------------------------
-
-
-def _pdeg(poly) -> int:
-    d = len(poly) - 1
-    while d > 0 and poly[d] == 0:
-        d -= 1
-    return d if any(poly) else -1
-
-
-def _ptrim(poly):
-    d = _pdeg(poly)
-    return [0] if d < 0 else list(poly[: d + 1])
-
-
-def _padd(field, a, b):
-    n = max(len(a), len(b))
-    return _ptrim([
-        field.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-        for i in range(n)
-    ])
-
-
-def _psub(field, a, b):
-    n = max(len(a), len(b))
-    return _ptrim([
-        field.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-        for i in range(n)
-    ])
-
-
-def _pmul(field, a, b):
-    if _pdeg(a) < 0 or _pdeg(b) < 0:
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return _ptrim(out)
-
-
-def _pscale(field, a, s):
-    return _ptrim([field.mul(s, v) for v in a])
-
-
-def _pderiv(field, a):
-    return _ptrim([field.mul(i % field.p, a[i]) for i in range(1, len(a))]) if len(a) > 1 else [0]
-
-
-def _pgcd(field, a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while _pdeg(b) >= 0:
-        a, b = b, _pdivmod(field, a, b)[1]
-    return a
-
-
-def _pdivmod(field, a, b):
-    a = list(a)
-    db = _pdeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = field.inv(b[db])
-    quot = [0] * max(1, _pdeg(a) - db + 1)
-    while _pdeg(a) >= db:
-        da = _pdeg(a)
-        coef = field.mul(a[da], inv)
-        quot[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = field.sub(a[da - db + i], field.mul(coef, b[i]))
-    return _ptrim(quot), _ptrim(a)
 
 
 def _distinct_root_count(field, poly) -> int:

@@ -140,6 +140,11 @@ def test_usage_error_exit_one(capsys):
 @pytest.mark.parametrize("argv", [
     ("arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"),
     ("verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force"),
+    ("verify", "--theorem", "j0", "--q", "13", "--curve", "0,0,0,0,2", "--k", "4", "--force"),
+    # k = 5 without a frame: the fallback whole-space scan
+    ("verify", "--q", "9", "--curve", "0,0,0,4,1", "--k", "5", "--force", "--sample", "200"),
+    # k = 5 with a frame: the optional whole-space scan runs
+    ("verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force", "--sample", "200"),
 ])
 def test_worker_count_does_not_change_reports(capsys, argv):
     docs = []

@@ -15,7 +15,6 @@ from ellnmds.extendability import (
     transform_curve,
     verify_main_theorem,
     verify_zero_j_theorem,
-    witness_hyperplane,
 )
 from ellnmds.geometry import arc_make, normalize_coords
 from ellnmds.gf import field_make
@@ -139,7 +138,7 @@ def test_witness_reports_verify(k):
         pt = normalize_coords(field, [int(v) for v in row])
         if ctx.is_arc_point(pt) or pt in cand_set:
             continue
-        report = witness_hyperplane(arc, pt, ctx)
+        report = ctx.witness(pt)
         assert report.q_point == pt
         assert len(report.secant_points) == k
         seen_tags.add(report.case_tag)

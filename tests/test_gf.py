@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellnmds import gf
-from ellnmds.errors import DivisionByZero, FieldMismatch, NotPrime, NotPrimePower, Overflow
+from ellnmds.errors import DivisionByZero, NotPrime, NotPrimePower, Overflow
 from ellnmds.gf import (
     Field,
     factor_prime_power,
     field_make,
     field_of_order,
     gemm_dtype,
-    gf_matmul,
     linear_w_matrix,
     dot_zero_mask,
     parity_check,
@@ -145,20 +145,6 @@ def test_encoding_roundtrip():
         assert np.array_equal(f.undigits_np(f.digits_np(arr)), arr)
 
 
-def test_element_wrapper():
-    f = field_make(7)
-    a = f(3)
-    b = f(5)
-    assert int(a + b) == 1
-    assert int(a * b) == 1
-    assert int(-a) == 4
-    assert int(a / b) == f.div(3, 5)
-    assert a == f(3) and a != b
-    g = field_make(5)
-    with pytest.raises(FieldMismatch):
-        a + g(1)
-
-
 def test_vector_ops_match_scalar():
     # q*q tables up to 1024 (9, 121, 625), digit and product tables up to
     # 4096 (1369), digit arithmetic above (4489)
@@ -177,19 +163,103 @@ def test_vector_ops_match_scalar():
         assert np.array_equal(f.inv_np(nz), [f.inv(int(x)) for x in nz])
 
 
-def test_gf_matmul_matches_scalar():
-    for p, r in [(5, 1), (3, 2), (11, 2)]:
-        f = field_make(p, r)
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, f.q, size=(6, 4))
-        b = rng.integers(0, f.q, size=(4, 9))
-        got = gf_matmul(f, a, b)
-        for i in range(6):
-            for j in range(9):
-                acc = 0
-                for t in range(4):
-                    acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
-                assert got[i, j] == acc
+def _ref_digits(field, a):
+    return [a // field.p**i % field.p for i in range(field.r)]
+
+
+def _ref_encode(field, coeffs):
+    return sum(c % field.p * field.p**i for i, c in enumerate(coeffs))
+
+
+def _ref_add(field, a, b, sign=1):
+    return _ref_encode(field, [x + sign * y for x, y in zip(_ref_digits(field, a), _ref_digits(field, b))])
+
+
+def _ref_mul(field, a, b):
+    """Schoolbook product of the digit polynomials, then the remainder modulo
+    the monic ``field.modulus``, in plain integers over F_p."""
+    r = field.r
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(_ref_digits(field, a)):
+        for j, y in enumerate(_ref_digits(field, b)):
+            prod[i + j] += x * y
+    for m in range(2 * r - 2, r - 1, -1):
+        lead = prod[m] % field.p
+        for i, c in enumerate(field.modulus):
+            prod[m - r + i] -= lead * c
+    return _ref_encode(field, prod[:r])
+
+
+def _ref_pow(field, a, e):
+    out = 1
+    for bit in bin(e)[2:]:
+        out = _ref_mul(field, out, out)
+        if bit == "1":
+            out = _ref_mul(field, out, a)
+    return out
+
+
+# odd orders across every table regime: q*q add tables up to PAIR_TABLE_MAX,
+# exp/log, product and inverse tables up to TABLE_THRESHOLD, digit products above
+_PROPERTY_ORDERS = [7, 9, 25, 27, 121, 625, 729, 1369, 2187, 4489, 15625]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from(_PROPERTY_ORDERS), data=st.data())
+def test_field_arithmetic_matches_polynomial_arithmetic(q, data):
+    field = field_of_order(q)
+    size = data.draw(st.integers(1, 12), label="size")
+    elems = st.lists(st.integers(0, q - 1), min_size=size, max_size=size)
+    a, b, c = (data.draw(elems, label=name) for name in "abc")
+    minus_one = _ref_add(field, 0, 1, -1)
+    for x, y, z in zip(a, b, c):
+        assert field.add(x, y) == _ref_add(field, x, y)
+        assert field.sub(x, y) == _ref_add(field, x, y, -1)
+        assert field.mul(x, y) == _ref_mul(field, x, y)
+        assert field.mul(x, field.add(y, z)) == field.add(field.mul(x, y), field.mul(x, z))
+        assert field.mul(field.mul(x, y), z) == field.mul(x, field.mul(y, z))
+        assert field.add(field.add(x, y), z) == field.add(x, field.add(y, z))
+    # after the products are checked: Tonelli-Shanks needs a correct multiply to stop
+    for x in a:
+        if x:
+            assert _ref_mul(field, x, field.inv(x)) == 1
+        assert field.pow(x, q) == x
+        root = field.sqrt(x)
+        if root is None:
+            assert _ref_pow(field, x, (q - 1) // 2) == minus_one
+        else:
+            assert _ref_mul(field, root, root) == x
+            assert root <= _ref_add(field, 0, root, -1)
+        assert field.sqrt(_ref_mul(field, x, x)) == min(x, _ref_add(field, 0, x, -1))
+    va, vb = np.array(a), np.array(b)
+    assert field.add_np(va, vb).tolist() == [_ref_add(field, x, y) for x, y in zip(a, b)]
+    assert field.sub_np(va, vb).tolist() == [_ref_add(field, x, y, -1) for x, y in zip(a, b)]
+    assert field.mul_np(va, vb).tolist() == [_ref_mul(field, x, y) for x, y in zip(a, b)]
+    nonzero = [x for x in a if x]
+    if nonzero:
+        assert field.inv_np(np.array(nonzero)).tolist() == [field.inv(x) for x in nonzero]
+    roots = [field.sqrt(x) for x in a]
+    assert field.sqrt_table_np[va].tolist() == [-1 if s is None else s for s in roots]
+
+
+def test_mul_table_is_built_in_bounded_memory():
+    field = Field(3, 7)  # fresh instance: no cached tables
+    tracemalloc.start()
+    try:
+        table = field.mul_table_np
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert table.dtype == np.int32 and table.shape == (field.q, field.q)
+    log = np.array(field.log[1:])
+    expected = np.array(field.exp)[(log[:, None] + log[None, :]) % (field.q - 1)]
+    assert np.array_equal(table[1:, 1:], expected)
+    assert not table[0].any() and not table[:, 0].any()
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y = rng.randrange(field.q), rng.randrange(field.q)
+        assert table[x, y] == _ref_mul(field, x, y)
 
 
 def test_dot_zero_mask():

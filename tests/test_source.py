@@ -21,3 +21,17 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_no_imports_inside_functions():
+    # every import sits at the top of its module, where the dependency graph
+    # is visible; none of the package's imports needs deferring to break a cycle
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
