@@ -27,6 +27,7 @@ from .errors import (
     Budget,
     BudgetExceeded,
     DimensionMismatch,
+    InvariantViolated,
     KOutOfRange,
     ensure_budget,
 )
@@ -97,9 +98,12 @@ _REPS_CACHE_MAX_ROWS = 4_000_000
 def proj_reps_cached(field: Field, k: int):
     """All normalized representatives plus their digit expansion, cached.
 
-    Only spaces small enough to hold in memory are cached; callers fall back
-    to the chunked generator above that size.  Returns (coords, digits) or
-    None when the space is too large.
+    Only spaces of at most ``_REPS_CACHE_MAX_ROWS`` points are cached, one
+    entry per (p, r, k); callers fall back to the chunked generator above
+    that size.  An entry takes 8k + 4kr bytes a row: P^3(F_121), 1.79M rows,
+    takes about 115 MB.  An entry is built completely, then
+    published with one setdefault, so threads that race only duplicate the
+    work.  Returns (coords, digits) or None when the space is too large.
     """
     size = proj_space_size(field.q, k)
     if size > _REPS_CACHE_MAX_ROWS:
@@ -109,8 +113,7 @@ def proj_reps_cached(field: Field, k: int):
     if hit is None:
         coords = np.vstack(list(proj_reps(field, k)))
         digits = rows_digits(field, coords, gemm_dtype(field, k))
-        hit = (coords, digits)
-        _REPS_CACHE[key] = hit
+        hit = _REPS_CACHE.setdefault(key, (coords, digits))
     return hit
 
 
@@ -169,7 +172,7 @@ class ProjPointSet:
     Instances are immutable; ``with_point`` returns an extended copy.
     """
 
-    def __init__(self, field: Field, k: int, points):
+    def __init__(self, field: Field, k: int, points, arc: "EllipticArc | None" = None):
         self.field = field
         self.k = k
         pts = [normalize_coords(field, p) for p in points]
@@ -180,6 +183,7 @@ class ProjPointSet:
         self.encs = coords_to_enc(self.coords, field.q)
         self._w = None
         self._profile = None
+        self.arc = arc  # the elliptic arc whose points lead this set, if any
 
     @property
     def n(self) -> int:
@@ -192,8 +196,10 @@ class ProjPointSet:
         return self._w
 
     def with_point(self, coords) -> "ProjPointSet":
-        ps = ProjPointSet(self.field, self.k, list(self.points) + [tuple(coords)])
-        return ps
+        """Extended copy that keeps the leading arc, so full-hyperplane
+        enumeration still runs the group law on the arc's points."""
+        return ProjPointSet(self.field, self.k, list(self.points) + [tuple(coords)],
+                            arc=self.arc)
 
     def secant_count(self, hyperplane) -> int:
         h = np.asarray([normalize_coords(self.field, hyperplane)], dtype=np.int64)
@@ -226,7 +232,7 @@ class EllipticArc(ProjPointSet):
     """Image of a curve's rational points in P^{k-1}, infinite image last."""
 
     def __init__(self, curve: EllipticCurve, k: int, points):
-        super().__init__(curve.field, k, points)
+        super().__init__(curve.field, k, points, arc=self)
         self.curve = curve
 
 
@@ -369,21 +375,29 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None,
     return survivors
 
 
-def _combination_chunks(n: int, m: int):
-    """Index arrays of all m-subsets of range(n), grouped by smallest member."""
-    if m == 1:
-        yield np.arange(n, dtype=np.int64)[:, None]
-        return
-    for first in range(n - m + 1):
-        rest = np.array(
-            list(itertools.combinations(range(first + 1, n), m - 1)), dtype=np.int64
+def _colex_unrank(ranks: np.ndarray, m: int, binoms: list[np.ndarray]) -> np.ndarray:
+    """(len(ranks), m) ascending members of the m-subsets with these colex ranks.
+
+    The colex rank of c_1 < ... < c_m is sum C(c_i, i), so the subsets whose
+    maximum is below c are exactly the first C(c, m); ``binoms[i][c]`` holds
+    C(c, i).
+    """
+    out = np.empty((len(ranks), m), dtype=np.int64)
+    rem = ranks
+    for i in range(m, 0, -1):
+        out[:, i - 1] = np.searchsorted(binoms[i], rem, side="right") - 1
+        rem = rem - binoms[i][out[:, i - 1]]
+    return out
+
+
+def _colex_sums(add: np.ndarray, zero: int, m: int, n: int) -> np.ndarray:
+    """Group sum, as a point index, of every m-subset of range(n) in colex order."""
+    sums = np.array([zero], dtype=add.dtype)
+    for j in range(1, m + 1):
+        sums = np.concatenate(
+            [add[sums[: math.comb(top, j - 1)], top] for top in range(j - 1, n)]
         )
-        if len(rest) == 0:
-            continue
-        block = np.empty((len(rest), m), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        yield block
+    return sums
 
 
 def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
@@ -433,58 +447,91 @@ def _normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
 
 
 def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None) -> np.ndarray:
-    """Dual coordinates of every k-secant hyperplane, via (k-1)-subset spans.
+    """Dual coordinates of every k-secant (full) hyperplane, in encoding order.
 
-    Every hyperplane carrying k points of the set is spanned by one of its
-    independent (k-1)-subsets; degenerate subsets (possible only after points
-    were added to an arc) contribute their whole pencil instead.  Exact.
+    Let A be the points of the elliptic arc that leads the set (``ps.arc``;
+    empty for a plain point set) and X the points after it.
+
+    * Full hyperplanes inside A come from the group law: k distinct arc
+      points lie on one hyperplane exactly when they sum to O.  The walk
+      extends each (k-2)-subset S of A by an index a above max S and keeps
+      S + a when last = -(S + a) lies above a, so every zero-sum k-subset
+      yields its first k-1 points exactly once: C(n_A, k-1) table lookups,
+      but duals only for the kept subsets.
+    * A full hyperplane holding j >= 1 points of X is spanned by (k-1)-subsets
+      that hold one of them: the subsets whose maximum lies in X, about
+      |X| * C(n, k-2) of them.  Rank-deficient ones contribute their whole
+      pencil.
+
+    An incidence matmul confirms every hyperplane: a group-law one must meet
+    the set in exactly its k predicted points, or ArcPropertyViolated (more
+    than k) or InvariantViolated is raised.  Memory: the group sums of the
+    C(n_A, k-2) subsets (int32), plus windows of ``_scan_chunk_rows`` subsets.
+    The budget charge keeps the (k-1)-subset span estimate, which overstates
+    this work.
     """
     budget = ensure_budget(budget)
     field, k, n = ps.field, ps.k, ps.n
     m = k - 1
-    n_subsets = math.comb(n, m)
-    budget.charge("subset_span_scan", n_subsets * (n + k * m * m))
+    budget.charge("subset_span_scan", math.comb(n, m) * (n + k * m * m))
+    n_arc = ps.arc.n if ps.arc is not None else 0
+    if n_arc:
+        add, neg = ps.arc.curve.addition_table, ps.arc.curve.negation
+        sums = _colex_sums(add, n_arc - 1, m - 1, n_arc)
+    binoms = [np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
+              for i in range(m + 1)]
+    split, total = int(binoms[m][n_arc]), int(binoms[m][n])
+    step = _scan_chunk_rows(ps)
     w = ps.w_matrix
-    found = []
-    for block in _combination_chunks(n, m):
-        mats = ps.coords[block]  # (R, m, k)
-        duals = _null_duals(field, mats)
-        zero_rows = ~duals.any(axis=1)
-        if zero_rows.any():
-            for idx in np.flatnonzero(zero_rows):
-                basis = np.asarray(parity_check(field, ps.coords[block[idx]]), dtype=np.int64)
-                for mix in proj_reps(field, len(basis), 1 << 12):
-                    combo = np.zeros((len(mix), k), dtype=np.int64)
-                    for t in range(len(basis)):
-                        combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
-                    found.append(_normalize_rows(field, combo))
-            duals = duals[~zero_rows]
-        if len(duals):
-            found.append(_normalize_rows(field, duals))
-    if not found:
-        return np.empty((0, k), dtype=np.int64)
-    all_duals = np.vstack(found)
-    encs = coords_to_enc(all_duals, field.q)
-    uniq = np.unique(encs)
-    coords = enc_to_coords(uniq, field.q, k)
-    # keep exactly the k-secant ones
-    keep = []
-    chunk = _scan_chunk_rows(ps)
-    for start in range(0, len(coords), chunk):
-        block = coords[start: start + chunk]
-        counts = dot_zero_mask(field, block, w).sum(axis=1)
+    arc_encs, x_encs = [], []
+    for lo in itertools.chain(range(0, split, step), range(split, total, step)):
+        on_arc = lo < split
+        ranks = np.arange(lo, min(lo + step, split if on_arc else total), dtype=np.int64)
+        top = np.searchsorted(binoms[m], ranks, side="right") - 1
+        rest = ranks - binoms[m][top]
+        if on_arc:
+            last = neg[add[sums[rest], top]]
+            keep = last > top
+            top, rest, last = top[keep], rest[keep], last[keep]
+        subsets = np.hstack([_colex_unrank(rest, m - 1, binoms), top[:, None]])
+        duals = _null_duals(field, ps.coords[subsets])
+        singular = ~duals.any(axis=1)
+        if on_arc and singular.any():
+            raise InvariantViolated("k-1 arc points span less than a hyperplane")
+        found = [_normalize_rows(field, duals[~singular])]
+        for sub in subsets[singular]:
+            basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
+            for mix in proj_reps(field, len(basis), 1 << 12):
+                combo = np.zeros((len(mix), k), dtype=np.int64)
+                for t in range(len(basis)):
+                    combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
+                found.append(_normalize_rows(field, combo))
+        hyper = np.vstack(found)
+        mask = dot_zero_mask(field, hyper, w)
+        counts = mask.sum(axis=1)
         if counts.max(initial=0) > k:
             raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
-        keep.append(block[counts == k])
-    return np.vstack(keep) if keep else np.empty((0, k), dtype=np.int64)
+        if on_arc:
+            predicted = np.hstack([subsets, last[:, None]])
+            if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
+                raise InvariantViolated("a group-law hyperplane misses its predicted points")
+            arc_encs.append(coords_to_enc(hyper, field.q))
+        else:
+            x_encs.append(coords_to_enc(hyper[counts == k], field.q))
+    if x_encs:
+        arc_encs.append(np.unique(np.concatenate(x_encs)))
+    encs = np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
+    return enc_to_coords(encs, field.q, k)
 
 
 def addable_filter(ps: ProjPointSet, candidates,
                    budget: Budget | None = None) -> list[tuple[int, ...]]:
     """Addability test restricted to a candidate point list.
 
-    Uses subset-span enumeration of full hyperplanes, so the cost scales with
-    C(n, k-1) instead of the hyperplane count of the whole space.
+    Full hyperplanes come from :func:`full_hyperplanes_via_subsets`, not from
+    a scan of the whole space: on an arc, a walk of the C(n, k-2) subsets of
+    k-2 points with one dual per full hyperplane, plus about C(n, k-2) spans
+    per point added after the arc.
     """
     budget = ensure_budget(budget)
     field = ps.field

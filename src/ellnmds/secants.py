@@ -455,7 +455,10 @@ class LineSystem:
         return _KIND_BY_CODE[int(self.kind[self.dual_to_id(dual_orig)])]
 
     def triple_points(self, line_id: int) -> tuple:
-        """The three rational points of a trisecant line, curve coordinates."""
+        """The three rational points of a trisecant line, curve coordinates.
+
+        Cached per line id, so the cache holds at most q^2 + q + 1 entries of
+        three points each; an entry is published with one setdefault."""
         cached = self._tri_points_cache.get(line_id)
         if cached is not None:
             return cached
@@ -482,8 +485,7 @@ class LineSystem:
                     for x, z in zip(self._xs[mask], self._zs[mask])
                 )
             )
-        self._tri_points_cache[line_id] = pts
-        return pts
+        return self._tri_points_cache.setdefault(line_id, pts)
 
     # ---- pencils ----------------------------------------------------------
 

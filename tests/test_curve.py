@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellnmds.curve import INFINITY, EllipticCurve, curve_make, curve_scan, nq1, short_curve
 from ellnmds.errors import EvenCharacteristic, NotPrimePower, ScanLimitExceeded, Singular
-from ellnmds.gf import field_make
+from ellnmds.gf import field_make, field_of_order
+from ellnmds.secants import line_meet
 
 
 def brute_count_points(field, coeffs):
@@ -156,3 +160,45 @@ def test_json_shape():
     assert d["q"] == 5 and d["n"] == 6
     assert d["points"][-1] == "inf"
     assert all(len(pt) == 2 for pt in d["points"][:-1])
+
+
+# ---- the group law ------------------------------------------------------------
+
+
+def _plane_point(point):
+    return (0, 0, 1) if point is INFINITY else (1, point[0], point[1])
+
+
+def _line_through(field, u, v):
+    """Dual (a, b, c) of a + bX + cY = 0 through two distinct plane points."""
+    return tuple(
+        field.sub(field.mul(u[i], v[j]), field.mul(u[j], v[i]))
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 121]), data=st.data())
+def test_addition_table_is_the_chord_tangent_group(q, data):
+    field = field_of_order(q)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=5))
+    try:
+        curve = curve_make(field, coeffs)
+    except Singular:
+        assume(False)
+    add, neg = curve.addition_table, curve.negation
+    n = curve.n
+    idx = np.arange(n)
+    o = n - 1
+    assert curve.points[o] is INFINITY
+    assert (add[o] == idx).all() and (add[:, o] == idx).all()
+    assert (add[idx, neg] == o).all()
+    assert (add == add.T).all()
+    assert (add[add[:, :, None], idx] == add[idx[:, None, None], add[None, :, :]]).all()
+    # P, Q and -(P + Q) are the points of the line PQ, with multiplicity
+    where = {pt: i for i, pt in enumerate(curve.points)}
+    for _ in range(6):
+        i, j = data.draw(st.lists(st.integers(0, o), min_size=2, max_size=2, unique=True))
+        line = _line_through(field, _plane_point(curve.points[i]), _plane_point(curve.points[j]))
+        met = sorted(where[pt] for pt, mult in line_meet(curve, line).points for _ in range(mult))
+        assert met == sorted([i, j, int(neg[add[i, j]])])

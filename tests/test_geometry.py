@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ellnmds.curve import INFINITY, curve_scan, short_curve
-from ellnmds.errors import ArcPropertyViolated, BadIndex, KOutOfRange
+from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
+from ellnmds.errors import ArcPropertyViolated, BadIndex, InvariantViolated, KOutOfRange
+from ellnmds.extendability import choose_frame, k5_candidates
 from ellnmds.geometry import (
     ProjPointSet,
     addable_filter,
@@ -194,17 +195,46 @@ def test_addable_matches_naive_oracle(q):
 
 
 def test_subset_route_matches_scan_route():
-    for q, k in [(5, 3), (5, 4), (7, 3), (7, 4)]:
-        field = field_make(q)
+    for q, k in [(5, 3), (5, 4), (7, 3), (7, 4), (7, 5), (7, 6), (9, 4), (9, 5), (9, 6)]:
+        field = field_of_order(q)
         for curve in itertools.islice(curve_scan(field), 12):
             if k > curve.n - 1:
                 continue
             arc = arc_make(curve, k)
             _, fulls_scan = secant_scan(arc, _big_budget())
-            fulls_sub = full_hyperplanes_via_subsets(arc)
-            a = sorted(coords_to_enc(fulls_scan, q).tolist())
-            b = sorted(coords_to_enc(fulls_sub, q).tolist())
-            assert a == b
+            assert np.array_equal(full_hyperplanes_via_subsets(arc), fulls_scan)
+
+
+def test_subset_route_after_completion_rounds():
+    # the q = 11, k = 5 verdict of the CLI goldens adds two points to its
+    # framed arc; after each, the spans through the added points must find
+    # the same full hyperplanes as the whole-space scan
+    field = field_make(11)
+    framed, _ = choose_frame(curve_make(field, (0, 0, 0, 1, 4)), force=True)
+    arc = arc_make(framed, 5)
+    cands, _ = k5_candidates(framed, arc)
+    result = complete_arc(arc, 3, candidates=cands)
+    assert result.added == [(0, 1, 0, 0, 2), (0, 1, 1, 0, 9)]
+    ps = arc
+    for pt in result.added:
+        ps = ps.with_point(pt)
+        assert ps.arc is arc
+        _, fulls_scan = secant_scan(ps, _big_budget())
+        assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+
+
+def test_group_law_check_catches_a_bad_table(monkeypatch):
+    curve = next(c for c in curve_scan(field_make(11)) if c.n >= 12)
+    arc = arc_make(curve, 3)
+    add, neg = curve.addition_table, curve.negation
+    # a chord i < j < last with room for a wrong prediction between j and last
+    i, j = next((i, j) for i, j in itertools.combinations(range(curve.n), 2)
+                if neg[add[i, j]] > j + 1)
+    bad = add.copy()
+    bad[i, j] = bad[j, i] = neg[j + 1]  # predicts j + 1, which is off the chord
+    monkeypatch.setitem(curve._np_cache, "group", (bad, neg))
+    with pytest.raises(InvariantViolated):
+        full_hyperplanes_via_subsets(arc)
 
 
 @pytest.mark.parametrize("q", [7, 9])
