@@ -40,11 +40,11 @@ from .geometry import (
     arc_make,
     complete_arc,
     coords_to_enc,
-    incidence,
     normalize_coords,
-    phi_k,
+    normalize_rows,
     proj_space_size,
 )
+from .gf import dot_zero_mask
 from .secants import KIND_TRISECANT, LineSystem, line_meet, zero_j_hypotheses
 
 VERDICT_CONSISTENT = "CONSISTENT"
@@ -193,6 +193,8 @@ def choose_frame(curve: EllipticCurve, force: bool = False) -> tuple[EllipticCur
 
 # ---- witness machinery ------------------------------------------------------
 
+WITNESS_CHUNK = 512  # query points per witnesses() call when sampling
+
 
 @dataclass
 class WitnessReport:
@@ -210,9 +212,49 @@ class WitnessReport:
         }
 
 
+class WitnessBatch:
+    """Witnesses for a batch of query points, row-aligned with ``points``.
+
+    A row without a witness keeps an empty case tag, a zero hyperplane and
+    -1 secant ids, and carries the reason no witness exists.
+    """
+
+    def __init__(self, arc: EllipticArc, points: np.ndarray):
+        b, k = points.shape
+        self.arc = arc
+        self.points = points                                # (B, k) normalized
+        self.case = np.full(b, "", dtype=object)            # case tag per row
+        self.reason = np.full(b, "", dtype=object)          # failure reason per row
+        self.hyperplanes = np.zeros((b, k), dtype=np.int64)
+        self.secant_ids = np.full((b, k), -1, dtype=np.int64)  # indices into arc.points
+
+    @property
+    def found(self) -> np.ndarray:
+        return self.case != ""
+
+    @property
+    def failures(self) -> list[NoWitnessFound]:
+        """The rows without a witness, in row order."""
+        return [
+            NoWitnessFound(tuple(int(v) for v in self.points[i]), self.reason[i])
+            for i in np.flatnonzero(~self.found)
+        ]
+
+    def report(self, i: int) -> WitnessReport:
+        if not self.case[i]:
+            raise ValueError(f"row {i} has no witness")
+        return WitnessReport(
+            tuple(int(v) for v in self.points[i]),
+            self.case[i],
+            tuple(int(v) for v in self.hyperplanes[i]),
+            tuple(self.arc.points[j] for j in self.secant_ids[i]),
+        )
+
+
 class WitnessContext:
-    """Per-arc data for witness construction: line classes and the three
-    coordinate sections of the frame-normalized curve."""
+    """Per-arc data for witness construction: line classes, the three
+    coordinate sections of the frame-normalized curve, and the trisecant
+    masks each case of the analysis searches."""
 
     def __init__(self, arc: EllipticArc, system: LineSystem | None = None):
         if arc.k not in (4, 5, 6):
@@ -222,141 +264,176 @@ class WitnessContext:
         self.field = arc.field
         self.system = system or LineSystem(self.curve)
         self.x0_set, self.y0_set, self.xy_set, _ = _coordinate_sections(self.curve)
-        self._arc_enc = set(int(e) for e in arc.encs)
         if arc.k in (5, 6):
             ok, detail = frame_conditions(self.curve)
             if not ok:
                 raise FrameViolation(f"frame conditions fail: {detail}")
+        index = self.system.point_index
+        self._o = index[INFINITY]
+        self._x0, self._y0, self._xy = (
+            np.array([index[p] for p in pts], dtype=np.int64)
+            for pts in (self.x0_set, self.y0_set, self.xy_set)
+        )
+        self._x0_ys = np.array([y for _, y in self.x0_set], dtype=np.int64)
+        system = self.system
+        not_x0_line = np.ones(system.n_lines, dtype=bool)
+        not_x0_line[system.dual_to_id((0, 1, 0))] = False
+        self._lines = {
+            "affine": system.admissible(require_affine=True),
+            "off_x0": system.admissible(avoid=self._x0) & not_x0_line,
+            "off_y0": system.admissible(avoid=self._y0),
+            "affine_off_x0": system.admissible(require_affine=True, avoid=self._x0) & not_x0_line,
+            "off_xy": system.admissible(avoid=self._xy),
+        }
 
     def is_arc_point(self, coords) -> bool:
-        enc = int(coords_to_enc(np.asarray([coords]), self.field.q)[0])
-        return enc in self._arc_enc
+        enc = coords_to_enc(np.asarray([coords], dtype=np.int64), self.field.q)
+        return bool(np.isin(enc, self.arc.encs)[0])
 
     def witness(self, point) -> WitnessReport:
-        k = self.arc.k
-        q_n = normalize_coords(self.field, point)
-        if self.is_arc_point(q_n):
-            raise ValueError(f"{q_n} is an arc point")
-        if k == 4:
-            return self._witness_k4(q_n)
-        if k == 5:
-            return self._witness_k5(q_n)
-        return self._witness_k6(q_n)
+        batch = self.witnesses([point])
+        if not batch.found[0]:
+            raise batch.failures[0]
+        return batch.report(0)
 
-    # -- helpers ------------------------------------------------------------
+    def witnesses(self, points) -> WitnessBatch:
+        """Witness hyperplanes for a batch of query points off the arc.
 
-    def _first_trisecant(self, planar_point, avoid, require_affine, forbid_x0_line=False):
-        for dual, triple in self.system.trisecants_through(
-            planar_point, require_affine=require_affine, avoid_points=avoid
-        ):
-            if forbid_x0_line and dual == (0, 1, 0):
-                continue
-            return dual, triple
-        return None
+        Every found witness is checked before it is returned: one zero-test
+        of the batch's hyperplanes against the arc must give sections of k
+        points, the k listed points distinct and among them, and the query
+        point on the hyperplane; any breach raises InvariantViolated.  The
+        work arrays are a few (B, q + 1) pencils of int64, so callers bound
+        memory through the batch size B (``WITNESS_CHUNK`` when sampling).
+        """
+        field, k = self.field, self.arc.k
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, k)
+        if ((pts < 0) | (pts >= field.q)).any() or not pts.any(axis=1).all():
+            raise ValueError("query points need encodings in range and a nonzero coordinate")
+        pts = normalize_rows(field, pts)
+        on_arc = np.isin(coords_to_enc(pts, field.q), self.arc.encs)
+        if on_arc.any():
+            raise ValueError(f"{tuple(int(v) for v in pts[on_arc][0])} is an arc point")
+        batch = WitnessBatch(self.arc, pts)
+        (self._cases_k4, self._cases_k5, self._cases_k6)[k - 4](batch)
+        found = batch.found
+        if (found == (batch.reason != "")).any():
+            raise InvariantViolated("a query point is neither witnessed nor rejected")
+        if found.any():
+            batch.hyperplanes[found] = normalize_rows(field, batch.hyperplanes[found])
+            self._check(pts[found], batch.hyperplanes[found], batch.secant_ids[found])
+        return batch
 
-    def _finish(self, q_n, tag, hyperplane, base_points, triple) -> WitnessReport:
-        field = self.field
-        k = self.arc.k
-        h = normalize_coords(field, hyperplane)
-        images = [phi_k(field, p, k) for p in base_points]
-        images += [phi_k(field, p, k) for p in triple]
-        seen = []
-        for img in images:
-            if img not in seen:
-                seen.append(img)
-        report = WitnessReport(q_n, tag, h, tuple(seen))
-        self._verify(report)
-        return report
+    # -- batch helpers ------------------------------------------------------
 
-    def _verify(self, report: WitnessReport) -> None:
-        field = self.field
-        k = self.arc.k
-        if not incidence(field, report.hyperplane, report.q_point):
-            raise InvariantViolated("witness hyperplane misses the query point")
-        if len(report.secant_points) != k:
-            raise InvariantViolated(
-                f"witness lists {len(report.secant_points)} points, expected {k}"
-            )
-        for pt in report.secant_points:
-            if not self.is_arc_point(pt):
-                raise InvariantViolated("witness point is not on the arc")
-            if not incidence(field, report.hyperplane, pt):
-                raise InvariantViolated("listed point is off the witness hyperplane")
-        if self.arc.secant_count(report.hyperplane) != k:
+    def _fixed(self, batch, rows, tag, hyperplane, base):
+        batch.case[rows] = tag
+        batch.hyperplanes[rows] = hyperplane
+        batch.secant_ids[rows] = base
+
+    def _planar(self, batch, rows, planar, lines, reason, base, tags):
+        """First admissible trisecant, by dual encoding, through each row's
+        planar point; records misses and returns the rows with a line and
+        its duals (a, b, c), shape (R, 3)."""
+        system = self.system
+        q = self.field.q
+        best = system.first_trisecants(system.pencils(normalize_rows(self.field, planar)),
+                                       self._lines[lines])
+        hit = best >= 0
+        batch.reason[rows[~hit]] = reason
+        rows, best = rows[hit], best[hit]
+        batch.case[rows] = tags[hit] if np.ndim(tags) else tags
+        batch.secant_ids[rows, : len(base)] = base
+        batch.secant_ids[rows, len(base):] = system.tri[best]
+        enc = system.dual_enc[best]
+        return rows, np.stack([enc // (q * q), enc // q % q, enc % q], axis=1)
+
+    def _check(self, points, hyper, secant):
+        field, k = self.field, self.arc.k
+        if secant.shape[1] != k or (secant < 0).any() or (secant >= self.arc.n).any():
+            raise InvariantViolated(f"a witness does not list {k} arc points")
+        ordered = np.sort(secant, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise InvariantViolated("a witness lists a point twice")
+        meets = dot_zero_mask(field, hyper, self.arc.w_matrix)
+        if (meets.sum(axis=1) != k).any():
             raise InvariantViolated("witness hyperplane has the wrong section size")
+        if not np.take_along_axis(meets, secant, axis=1).all():
+            raise InvariantViolated("listed point is off the witness hyperplane")
+        acc = np.zeros(len(points), dtype=np.int64)
+        for i in range(k):
+            acc = field.add_np(acc, field.mul_np(hyper[:, i], points[:, i]))
+        if acc.any():
+            raise InvariantViolated("witness hyperplane misses the query point")
 
-    # -- dispatch per embedding dimension ------------------------------------
+    # -- case analysis per embedding dimension --------------------------------
 
-    def _witness_k4(self, q_n) -> WitnessReport:
+    def _cases_k4(self, batch):
+        pts = batch.points
+        top = (pts[:, 0] == 0) & (pts[:, 1] == 0)
+        # planar shadow is the infinite curve point: the candidate line
+        batch.reason[top] = "point projects onto the curve's infinite point"
+        rows = np.flatnonzero(~top)
+        rows, duals = self._planar(batch, rows, pts[rows, :3], "affine",
+                                   "no affine trisecant through the planar shadow",
+                                   [self._o], "k4-planar")
+        batch.hyperplanes[rows, :3] = duals
+
+    def _cases_k5(self, batch):
         field = self.field
-        q1, q2, q3, _ = q_n
-        if (q1, q2) == (0, 0):
-            # planar shadow is the infinite curve point: the candidate line
-            raise NoWitnessFound(q_n, "point projects onto the curve's infinite point")
-        planar = normalize_coords(field, (q1, q2, q3))
-        hit = self._first_trisecant(planar, avoid=(), require_affine=True)
-        if hit is None:
-            raise NoWitnessFound(q_n, "no affine trisecant through the planar shadow")
-        (a, b, c), triple = hit
-        return self._finish(q_n, "k4-planar", (a, b, c, 0), [INFINITY], triple)
+        pts = batch.points
+        last_zero = pts[:, 4] == 0
+        self._fixed(batch, last_zero, "k5-last-zero", (0, 0, 0, 0, 1),
+                    np.concatenate([self._x0, self._y0]))
+        ratio = np.flatnonzero(~last_zero & (pts[:, 1] != 0) & (pts[:, 3] == 0))
+        rho = field.mul_np(pts[ratio, 4], field.inv_np(pts[ratio, 1]))
+        cand = ratio[np.isin(rho, self._x0_ys)]
+        batch.reason[cand] = "candidate: admissible ratio onto the curve"
+        rest = ~last_zero
+        rest[cand] = False
+        rows = np.flatnonzero(rest)
+        rows, duals = self._planar(batch, rows, pts[rows][:, [1, 3, 4]], "off_x0",
+                                   "no trisecant off X=0 through the projection",
+                                   self._x0, "k5-pencil")
+        batch.case[rows[duals[:, 2] == 0]] = "k5-vertical"
+        batch.hyperplanes[np.ix_(rows, [1, 3, 4])] = duals
 
-    def _witness_k5(self, q_n) -> WitnessReport:
+    def _cases_k6(self, batch):
         field = self.field
-        q1, q2, q3, q4, q5 = q_n
-        if q5 == 0:
-            return self._finish(q_n, "k5-last-zero", (0, 0, 0, 0, 1), list(self.x0_set) + list(self.y0_set), [])
-        if q2 != 0 and q4 == 0:
-            rho = field.div(q5, q2)
-            if self.curve.is_on_curve(0, rho):
-                raise NoWitnessFound(q_n, "candidate: admissible ratio onto the curve")
-        planar = normalize_coords(field, (q2, q4, q5))
-        hit = self._first_trisecant(
-            planar, avoid=self.x0_set, require_affine=False, forbid_x0_line=True
-        )
-        if hit is None:
-            raise NoWitnessFound(q_n, "no trisecant off X=0 through the projection")
-        (a, b, c), triple = hit
-        tag = "k5-vertical" if c == 0 else "k5-pencil"
-        return self._finish(q_n, tag, (0, a, 0, b, c), list(self.x0_set), triple)
+        pts = batch.points
+        last_zero = pts[:, 4] == 0
+        self._fixed(batch, last_zero, "k6-case1", (0, 0, 0, 0, 1, 0),
+                    np.concatenate([self._x0, self._y0, [self._o]]))
+        rows = np.flatnonzero(~last_zero)
+        inv5 = field.inv_np(pts[rows, 4])
+        c2, c3, c4, c6 = (field.mul_np(inv5, pts[rows, i]) for i in (1, 2, 3, 5))
+        one = np.ones(len(rows), dtype=np.int64)
+        hyper = batch.hyperplanes
 
-    def _witness_k6(self, q_n) -> WitnessReport:
-        field = self.field
-        q1, q2, q3, q4, q5, q6 = q_n
-        if q5 == 0:
-            return self._finish(
-                q_n, "k6-case1", (0, 0, 0, 0, 1, 0),
-                list(self.x0_set) + list(self.y0_set) + [INFINITY], [],
-            )
-        inv5 = field.inv(q5)
-        c2, c3, c4, c6 = (field.mul(inv5, v) for v in (q2, q3, q4, q6))
-        if c6 != 0:
-            planar = normalize_coords(field, (c3, 1, c6))
-            hit = self._first_trisecant(planar, avoid=self.y0_set, require_affine=False)
-            if hit is None:
-                raise NoWitnessFound(q_n, "no trisecant off Y=0 through the projection")
-            (a, b, c), triple = hit
-            tag = "k6-case4" if c3 == 0 else "k6-case5"
-            return self._finish(q_n, tag, (0, 0, a, 0, b, c), list(self.y0_set), triple)
-        if c4 != 0:
-            planar = normalize_coords(field, (c2, c4, 1))
-            hit = self._first_trisecant(
-                planar, avoid=self.x0_set, require_affine=True, forbid_x0_line=True
-            )
-            if hit is None:
-                raise NoWitnessFound(q_n, "no affine trisecant off X=0 through the projection")
-            (a, b, c), triple = hit
-            tag = "k6-case6" if c2 == 0 else "k6-case7"
-            return self._finish(
-                q_n, tag, (0, a, 0, b, c, 0), list(self.x0_set) + [INFINITY], triple
-            )
-        planar = normalize_coords(field, (field.sub(c3, c2), 1, field.neg(1)))
-        hit = self._first_trisecant(planar, avoid=self.xy_set, require_affine=False)
-        if hit is None:
-            raise NoWitnessFound(q_n, "no trisecant off X=Y through the projection")
-        (a, b, c), triple = hit
-        hyper = (0, a, field.neg(a), b, field.sub(c, b), field.neg(c))
-        tag = "k6-case3" if c2 == c3 else "k6-case2"
-        return self._finish(q_n, tag, hyper, list(self.xy_set), triple)
+        sel = c6 != 0
+        got, duals = self._planar(
+            batch, rows[sel], np.stack([c3[sel], one[sel], c6[sel]], axis=1), "off_y0",
+            "no trisecant off Y=0 through the projection", self._y0,
+            np.where(c3[sel] == 0, "k6-case4", "k6-case5"))
+        hyper[np.ix_(got, [2, 4, 5])] = duals
+
+        sel = (c6 == 0) & (c4 != 0)
+        got, duals = self._planar(
+            batch, rows[sel], np.stack([c2[sel], c4[sel], one[sel]], axis=1), "affine_off_x0",
+            "no affine trisecant off X=0 through the projection",
+            np.concatenate([self._x0, [self._o]]),
+            np.where(c2[sel] == 0, "k6-case6", "k6-case7"))
+        hyper[np.ix_(got, [1, 3, 4])] = duals
+
+        sel = (c6 == 0) & (c4 == 0)
+        got, duals = self._planar(
+            batch, rows[sel],
+            np.stack([field.sub_np(c3[sel], c2[sel]), one[sel], field.neg_np(one[sel])], axis=1),
+            "off_xy", "no trisecant off X=Y through the projection", self._xy,
+            np.where(c2[sel] == c3[sel], "k6-case3", "k6-case2"))
+        a, b, c = duals.T
+        hyper[got, 1], hyper[got, 2], hyper[got, 3] = a, field.neg_np(a), b
+        hyper[got, 4], hyper[got, 5] = field.sub_np(c, b), field.neg_np(c)
 
 
 def k5_candidates(curve: EllipticCurve, arc: EllipticArc) -> tuple[list[tuple], tuple]:
@@ -420,36 +497,35 @@ class VerdictReport:
         }
 
 
-def _sample_proj_points(field, k, count, rng, exclude_encs):
-    """Uniform normalized representatives via rejection, excluding a set."""
+def _sample_proj_points(field, k, count, rng, exclude_encs) -> np.ndarray:
+    """Uniform normalized representatives via rejection, excluding an array
+    of encodings; returns (count, k) int64.
+
+    Draws batches of max(64, count - have) rows and keeps the admissible rows
+    in draw order, so a seed fixes the sequence of points.
+    """
     out = []
-    exclude = set(int(e) for e in exclude_encs)
-    while len(out) < count:
-        batch = rng.integers(0, field.q, size=(max(64, count - len(out)), k))
-        for row in batch:
-            if not row.any():
-                continue
-            coords = normalize_coords(field, [int(v) for v in row])
-            enc = int(coords_to_enc(np.array([coords]), field.q)[0])
-            if enc in exclude:
-                continue
-            out.append(coords)
-            if len(out) == count:
-                break
-    return out
+    have = 0
+    while have < count:
+        batch = rng.integers(0, field.q, size=(max(64, count - have), k))
+        batch = normalize_rows(field, batch[batch.any(axis=1)])
+        batch = batch[~np.isin(coords_to_enc(batch, field.q), exclude_encs)][: count - have]
+        out.append(batch)
+        have += len(batch)
+    return np.concatenate(out) if out else np.empty((0, k), dtype=np.int64)
 
 
 def _sample_witnesses(ctx, seed, sample, exclude, budget, report):
-    """Witness search at ``sample`` uniform points off ``exclude``; misses
-    are collected in the report."""
+    """Witness search at ``sample`` uniform points off ``exclude``, streamed
+    through the engine ``WITNESS_CHUNK`` points at a time; misses are
+    collected in the report in sample order."""
     field = ctx.field
     rng = np.random.default_rng(seed)
     budget.charge("witness_sample", sample * (field.q + ctx.arc.n))
-    for pt in _sample_proj_points(field, ctx.arc.k, sample, rng, exclude):
-        try:
-            ctx.witness(pt)
-        except NoWitnessFound:
-            report.witness_failures.append(pt)
+    points = _sample_proj_points(field, ctx.arc.k, sample, rng, exclude)
+    for start in range(0, len(points), WITNESS_CHUNK):
+        batch = ctx.witnesses(points[start: start + WITNESS_CHUNK])
+        report.witness_failures.extend(exc.point for exc in batch.failures)
     report.sampled = sample
 
 
@@ -574,10 +650,8 @@ def _verify_k5(curve, budget, report, seed, sample, force, workers):
             f"completion added {len(added)} points (complete={complete}), expected at most 2"
         )
     # sampled witnesses for non-candidates
-    exclude = set(int(e) for e in arc.encs)
-    exclude.update(
-        int(e) for e in coords_to_enc(np.array(cands, dtype=np.int64), field.q)
-    )
+    exclude = np.union1d(arc.encs, coords_to_enc(np.array(cands, dtype=np.int64).reshape(-1, 5),
+                                                 field.q))
     _sample_witnesses(ctx, seed, sample, exclude, budget, report)
     if report.witness_failures:
         report.verdict = VERDICT_VIOLATION

@@ -434,7 +434,7 @@ def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     return duals
 
 
-def _normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
+def normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
     """Vectorized projective normalization; rows must be nonzero."""
     coords = np.asarray(coords, dtype=np.int64)
     nz = coords != 0
@@ -498,14 +498,14 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
         singular = ~duals.any(axis=1)
         if on_arc and singular.any():
             raise InvariantViolated("k-1 arc points span less than a hyperplane")
-        found = [_normalize_rows(field, duals[~singular])]
+        found = [normalize_rows(field, duals[~singular])]
         for sub in subsets[singular]:
             basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
             for mix in proj_reps(field, len(basis), 1 << 12):
                 combo = np.zeros((len(mix), k), dtype=np.int64)
                 for t in range(len(basis)):
                     combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
-                found.append(_normalize_rows(field, combo))
+                found.append(normalize_rows(field, combo))
         hyper = np.vstack(found)
         mask = dot_zero_mask(field, hyper, w)
         counts = mask.sum(axis=1)

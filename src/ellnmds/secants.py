@@ -29,7 +29,7 @@ import numpy as np
 
 from .curve import INFINITY, EllipticCurve
 from .errors import InvariantViolated, PointOnCurve
-from .geometry import normalize_coords
+from .geometry import coords_to_enc, normalize_coords, normalize_rows
 from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim, rank_gf
 
 KIND_SPARSE = "sparse"
@@ -99,14 +99,6 @@ def _short_dual(curve: EllipticCurve, dual) -> tuple[int, int, int]:
     h1 = curve._short["h1"]
     h0 = curve._short["h0"]
     return (f.sub(a, f.mul(c, h0)), f.sub(b, f.mul(c, h1)), c)
-
-
-def _orig_dual(curve: EllipticCurve, dual_short) -> tuple[int, int, int]:
-    f = curve.field
-    a, b, c = (int(v) for v in dual_short)
-    h1 = curve._short["h1"]
-    h0 = curve._short["h0"]
-    return (f.add(a, f.mul(c, h0)), f.add(b, f.mul(c, h1)), c)
 
 
 def _cubic_roots_with_multiplicity(field, coeffs):
@@ -373,7 +365,6 @@ class LineSystem:
         h1 = curve._short["h1"]
         h0 = curve._short["h0"]
         zs = field.add_np(ys_orig, field.add_np(field.mul_np(np.int64(h1), xs), np.int64(h0)))
-        self._xs, self._zs = xs, zs
         self._affine_ids = xs * q + zs
 
         counts = np.zeros(self.n_lines, dtype=np.int64)
@@ -381,7 +372,6 @@ class LineSystem:
         tt = field.sub_np(zs[None, :], field.mul_np(ms[:, None], xs[None, :]))  # (q, n-1)
         ids = ms[:, None] * q + tt
         counts[: q * q] = np.bincount(ids.ravel(), minlength=q * q)
-        self._nonvert_ids = ids
         fiber = np.zeros(q, dtype=np.int64)
         np.add.at(fiber, xs, 1)
         counts[q * q: q * q + q] = fiber + 1  # infinite point joins each vertical
@@ -415,6 +405,37 @@ class LineSystem:
         if tangent[counts == 3].any():
             raise InvariantViolated("a three-point line claims tangency")
         self.kind = kind
+
+        # normalized dual encoding, in curve coordinates, of every line:
+        # Z = mX + t is a + bX + cY = 0 with (a, b, c) = (h0 - t, h1 - m, 1)
+        duals = np.zeros((self.n_lines, 3), dtype=np.int64)
+        ms_all, ts_all = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        duals[: q * q, 0] = field.sub_np(np.int64(h0), ts_all)
+        duals[: q * q, 1] = field.sub_np(np.int64(h1), ms_all)
+        duals[: q * q, 2] = 1
+        duals[q * q: q * q + q, 0] = field.neg_np(np.arange(q, dtype=np.int64))
+        duals[q * q: q * q + q, 1] = 1
+        duals[q * q + q, 0] = 1
+        self.dual_enc = coords_to_enc(normalize_rows(field, duals), q)
+
+        # the three points of each trisecant as indices into curve.points,
+        # ascending, so the infinite point (index n - 1) comes last; -1 rows
+        # for every other line.  A stable sort by line id keeps each
+        # non-vertical line's points in point order.
+        tri = np.full((self.n_lines, 3), -1, dtype=np.int64)
+        order = np.argsort(ids.ravel(), kind="stable")
+        line_sorted = ids.ravel()[order]
+        point_sorted = order % len(xs)
+        tri_ids = np.flatnonzero(kind[: q * q] == 2)
+        first = np.searchsorted(line_sorted, tri_ids)
+        tri[tri_ids] = point_sorted[first[:, None] + np.arange(3)]
+        tri_verts = np.flatnonzero(kind[q * q: q * q + q] == 2)
+        first = np.searchsorted(xs, tri_verts)
+        tri[q * q + tri_verts, 0] = first
+        tri[q * q + tri_verts, 1] = first + 1
+        tri[q * q + tri_verts, 2] = len(xs)
+        self.tri = tri
+        self.point_index = {p: i for i, p in enumerate(curve.points)}
         self._tri_points_cache: dict[int, tuple] = {}
         self._tri_counts = None
         self._tangent_counts = None
@@ -433,29 +454,19 @@ class LineSystem:
         t = field.neg(field.div(a, c))
         return m * q + t
 
-    def id_to_short_dual(self, line_id: int) -> tuple[int, int, int]:
-        field = self.curve.field
-        q = self.q
-        if line_id == q * q + q:
-            return (1, 0, 0)
-        if line_id >= q * q:
-            return (field.neg(line_id - q * q), 1, 0)
-        m, t = divmod(line_id, q)
-        return (field.neg(t), field.neg(m), 1)
-
     def dual_to_id(self, dual_orig) -> int:
         return self.short_dual_to_id(_short_dual(self.curve, normalize_coords(self.curve.field, dual_orig)))
 
     def id_to_dual(self, line_id: int) -> tuple[int, int, int]:
-        return normalize_coords(
-            self.curve.field, _orig_dual(self.curve, self.id_to_short_dual(line_id))
-        )
+        a, bc = divmod(int(self.dual_enc[line_id]), self.q * self.q)
+        return (a,) + divmod(bc, self.q)
 
     def kind_of(self, dual_orig) -> str:
         return _KIND_BY_CODE[int(self.kind[self.dual_to_id(dual_orig)])]
 
     def triple_points(self, line_id: int) -> tuple:
-        """The three rational points of a trisecant line, curve coordinates.
+        """The three rational points of a trisecant line, curve coordinates,
+        in curve.points order.
 
         Cached per line id, so the cache holds at most q^2 + q + 1 entries of
         three points each; an entry is published with one setdefault."""
@@ -464,53 +475,62 @@ class LineSystem:
             return cached
         if self.kind[line_id] != 2:
             raise ValueError("not a trisecant line")
-        curve = self.curve
-        field = curve.field
-        q = self.q
-        if line_id >= q * q:
-            x0 = line_id - q * q
-            mask = self._xs == x0
-            pts = [
-                (int(x), curve.y_unshift(int(x), int(z)))
-                for x, z in zip(self._xs[mask], self._zs[mask])
-            ]
-            pts = tuple(sorted(pts)) + (INFINITY,)
-        else:
-            m, t = divmod(line_id, q)
-            zt = field.add_np(field.mul_np(np.int64(m), self._xs), np.int64(t))
-            mask = zt == self._zs
-            pts = tuple(
-                sorted(
-                    (int(x), curve.y_unshift(int(x), int(z)))
-                    for x, z in zip(self._xs[mask], self._zs[mask])
-                )
-            )
+        points = self.curve.points
+        pts = tuple(points[i] for i in self.tri[line_id])
         return self._tri_points_cache.setdefault(line_id, pts)
 
     # ---- pencils ----------------------------------------------------------
 
-    def _pencil_ids(self, point) -> list[int]:
-        """Line ids through a point of the plane, in curve coordinates."""
-        curve = self.curve
-        field = curve.field
+    def pencils(self, planar) -> np.ndarray:
+        """Line ids through each of a batch of normalized plane points in
+        curve coordinates, shape (B, q + 1).
+
+        Through an affine point: the q non-vertical lines by slope, then the
+        vertical.  Through the infinite point of a slope: the q lines of that
+        slope, then the line at infinity.  Through (0, 0, 1): the q verticals,
+        then the line at infinity.
+        """
+        field = self.curve.field
         q = self.q
-        p1, p2, p3 = normalize_coords(field, point)
-        ids = []
-        if p1 == 1:
-            x = p2
-            z = curve.y_shift(x, p3)
-            for m in range(q):
-                ids.append(m * q + field.sub(z, field.mul(m, x)))
-            ids.append(q * q + x)
-        elif p2 == 1:
-            # infinite point of slope p3 in curve coordinates
-            m_short = field.add(p3, curve._short["h1"])
-            ids.extend(m_short * q + t for t in range(q))
-            ids.append(q * q + q)
-        else:
-            ids.extend(q * q + x0 for x0 in range(q))
-            ids.append(q * q + q)
-        return ids
+        h1, h0 = np.int64(self.curve._short["h1"]), np.int64(self.curve._short["h0"])
+        planar = np.asarray(planar, dtype=np.int64).reshape(-1, 3)
+        out = np.empty((len(planar), q + 1), dtype=np.int64)
+        steps = np.arange(q, dtype=np.int64)
+        affine = planar[:, 0] == 1
+        infinite = ~affine & (planar[:, 1] == 1)
+        top = ~affine & ~infinite
+        if affine.any():
+            x = planar[affine, 1]
+            z = field.add_np(planar[affine, 2], field.add_np(field.mul_np(h1, x), h0))
+            out[affine, :q] = steps * q + field.sub_np(z[:, None], field.mul_np(steps, x[:, None]))
+            out[affine, q] = q * q + x
+        if infinite.any():
+            m_short = field.add_np(planar[infinite, 2], h1)
+            out[infinite, :q] = m_short[:, None] * q + steps
+            out[infinite, q] = q * q + q
+        out[top, :q] = q * q + steps
+        out[top, q] = q * q + q
+        return out
+
+    def admissible(self, require_affine: bool = False, avoid=()) -> np.ndarray:
+        """Mask over line ids: trisecants, without the infinite point when
+        ``require_affine``, and meeting none of the ``avoid`` point indices.
+
+        The lines through the infinite point are the verticals and the line
+        at infinity, ids q^2 and up.
+        """
+        mask = self.kind == 2
+        if require_affine:
+            mask[self.q * self.q:] = False
+        if len(avoid):
+            mask &= ~np.isin(self.tri, np.asarray(avoid, dtype=np.int64)).any(axis=1)
+        return mask
+
+    def first_trisecants(self, pencils: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+        """Per pencil row, the admissible line of least dual encoding, or -1."""
+        enc = np.where(admissible[pencils], self.dual_enc[pencils], np.iinfo(np.int64).max)
+        best = pencils[np.arange(len(pencils)), enc.argmin(axis=1)]
+        return np.where(admissible[best], best, -1)
 
     def trisecants_through(self, point, require_affine: bool = False,
                            avoid_points=()) -> list[tuple[tuple, tuple]]:
@@ -520,20 +540,12 @@ class LineSystem:
         drops lines whose triple includes the infinite point; ``avoid_points``
         drops lines meeting any of the given curve points.
         """
-        avoid = {INFINITY if p is INFINITY else tuple(p) for p in avoid_points}
-        hits = []
-        for line_id in self._pencil_ids(point):
-            if self.kind[line_id] != 2:
-                continue
-            triple = self.triple_points(line_id)
-            if require_affine and triple[-1] is INFINITY:
-                continue
-            if avoid and any((p if p is INFINITY else tuple(p)) in avoid for p in triple):
-                continue
-            dual = self.id_to_dual(line_id)
-            hits.append((dual, triple))
-        hits.sort(key=lambda pair: _enc3(self.q, pair[0]))
-        return hits
+        keys = (p if p is INFINITY else tuple(p) for p in avoid_points)
+        avoid = [self.point_index[p] for p in keys if p in self.point_index]
+        pencil = self.pencils([normalize_coords(self.curve.field, point)])[0]
+        hits = pencil[self.admissible(require_affine, avoid)[pencil]]
+        hits = hits[np.argsort(self.dual_enc[hits])]
+        return [(self.id_to_dual(i), self.triple_points(int(i))) for i in hits]
 
     # ---- whole-plane statistics -------------------------------------------
 

@@ -1,13 +1,27 @@
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ellnmds import extendability
 from ellnmds.curve import INFINITY, curve_scan, short_curve
-from ellnmds.errors import Budget, HypothesisNotMet, NoFrameFound, NoWitnessFound, Singular
+from ellnmds.errors import (
+    Budget,
+    HypothesisNotMet,
+    InvariantViolated,
+    NoFrameFound,
+    NoWitnessFound,
+    Singular,
+)
 from ellnmds.extendability import (
     Frame,
+    VerdictReport,
     WitnessContext,
+    _sample_proj_points,
+    _sample_witnesses,
     choose_frame,
     frame_conditions,
     k5_candidates,
@@ -16,14 +30,27 @@ from ellnmds.extendability import (
     verify_main_theorem,
     verify_zero_j_theorem,
 )
-from ellnmds.geometry import arc_make, normalize_coords
-from ellnmds.gf import field_make
+from ellnmds.geometry import arc_make, coords_to_enc, incidence, normalize_coords, phi_k
+from ellnmds.gf import field_make, linear_w_matrix
 from ellnmds.secants import line_meet, KIND_TRISECANT
 
 
 def f121_first_j_nonzero():
     field = field_make(11, 2)
     return next(c for c in curve_scan(field) if c.j != 0)
+
+
+@functools.lru_cache(maxsize=None)
+def framed_context(k):
+    framed, _ = choose_frame(f121_first_j_nonzero())
+    return WitnessContext(arc_make(framed, k))
+
+
+@functools.lru_cache(maxsize=None)
+def small_k4_context():
+    # at q = 13 the fundamental line and shadows without an affine trisecant
+    # are frequent, so a few hundred samples include rejections
+    return WitnessContext(arc_make(short_curve(field_make(13), 0, 2, 5), 4))
 
 
 def test_transform_curve_preserves_points():
@@ -206,3 +233,181 @@ def test_verdict_json_roundtrip():
     import json
 
     json.dumps(d, sort_keys=True)
+
+
+def _reference_sample(field, k, count, rng, exclude_encs):
+    """The per-row rejection loop the vectorised sampler replaced."""
+    out = []
+    exclude = set(int(e) for e in exclude_encs)
+    while len(out) < count:
+        batch = rng.integers(0, field.q, size=(max(64, count - len(out)), k))
+        for row in batch:
+            if not row.any():
+                continue
+            coords = normalize_coords(field, [int(v) for v in row])
+            enc = int(coords_to_enc(np.array([coords]), field.q)[0])
+            if enc in exclude:
+                continue
+            out.append(coords)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("case", ["f121-k6", "f121-k5", "f13-k4", "f3-k3"])
+def test_sampler_matches_the_reference_loop(case):
+    if case == "f121-k6":
+        arc = framed_context(6).arc
+        field, k, count, exclude = arc.field, 6, 700, arc.encs
+    elif case == "f121-k5":
+        arc = framed_context(5).arc
+        cands, _ = k5_candidates(arc.curve, arc)
+        field, k, count = arc.field, 5, 300
+        exclude = np.union1d(arc.encs, coords_to_enc(np.array(cands), field.q))
+    elif case == "f13-k4":
+        arc = small_k4_context().arc
+        field, k, count, exclude = arc.field, 4, 500, arc.encs
+    else:
+        # zero rows and excluded rows are frequent in P^2(F_3); a count below
+        # 64 makes the batch size itself matter
+        field, k, count = field_make(3), 3, 45
+        exclude = coords_to_enc(np.array([(0, 0, 1), (0, 1, 2), (1, 0, 0), (1, 2, 2)]), 3)
+    rng_got, rng_want = np.random.default_rng(11), np.random.default_rng(11)
+    got = _sample_proj_points(field, k, count, rng_got, exclude)
+    want = _reference_sample(field, k, count, rng_want, exclude)
+    assert got.shape == (count, k) and got.dtype == np.int64
+    assert [tuple(int(v) for v in row) for row in got] == want
+    # the same batches were drawn, so the generator ends in the same state
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+# coordinates of the hyperplane that carry the planar line (a, b, c); the
+# X = Y recipe writes (0, a, -a, b, c - b, -c), so c is the negated last one
+_PLANAR_LINE = {
+    "k4-planar": (0, 1, 2),
+    "k5-vertical": (1, 3, 4),
+    "k5-pencil": (1, 3, 4),
+    "k6-case4": (2, 4, 5),
+    "k6-case5": (2, 4, 5),
+    "k6-case6": (1, 3, 4),
+    "k6-case7": (1, 3, 4),
+    "k6-case2": (1, 3, -5),
+    "k6-case3": (1, 3, -5),
+}
+
+
+def _planar_line(field, tag, hyperplane):
+    return tuple(
+        field.neg(hyperplane[-i]) if i < 0 else hyperplane[i] for i in _PLANAR_LINE[tag]
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.sampled_from([4, 5, 6]), data=st.data())
+def test_witness_planar_line_is_a_trisecant_by_exact_factorisation(k, data):
+    ctx = framed_context(k)
+    field, curve = ctx.field, ctx.curve
+    coords = data.draw(st.lists(st.integers(0, field.q - 1), min_size=k, max_size=k))
+    assume(any(coords))
+    point = normalize_coords(field, coords)
+    assume(not ctx.is_arc_point(point))
+    try:
+        report = ctx.witness(point)
+    except NoWitnessFound:
+        if k == 4:
+            assert point[:2] == (0, 0)
+        else:
+            # only the candidate family escapes the dimension-5 analysis
+            assert k == 5 and point[3] == 0 and point[1] != 0
+            assert curve.is_on_curve(0, field.div(point[4], point[1]))
+        return
+    # the listed points and the query point lie on the hyperplane, by scalar dots
+    assert incidence(field, report.hyperplane, point)
+    assert len(set(report.secant_points)) == k
+    assert all(incidence(field, report.hyperplane, p) for p in report.secant_points)
+    if report.case_tag not in _PLANAR_LINE:
+        return
+    meet = line_meet(curve, _planar_line(field, report.case_tag, report.hyperplane))
+    assert meet.kind == KIND_TRISECANT
+    assert all(mult == 1 for _, mult in meet.points)
+    assert set(report.secant_points[-3:]) == {phi_k(field, p, k) for p, _ in meet.points}
+
+
+def _sample_failures(ctx, seed, sample):
+    report = VerdictReport("main", ctx.arc.k, ctx.field.q, ctx.curve.coeffs, "CONSISTENT")
+    _sample_witnesses(ctx, seed, sample, ctx.arc.encs, Budget(None), report)
+    return report.sampled, report.witness_failures
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunk_size_does_not_change_results(monkeypatch, chunk):
+    small = small_k4_context()
+    want_small = _sample_failures(small, 3, 400)
+    want_k6 = _sample_failures(framed_context(6), 3, 150)
+    assert want_small[1]  # the comparison covers rejections
+    monkeypatch.setattr(extendability, "WITNESS_CHUNK", chunk)
+    assert _sample_failures(small, 3, 400) == want_small
+    assert _sample_failures(framed_context(6), 3, 150) == want_k6
+
+
+@pytest.mark.parametrize("which", ["f13-k4", "f121-k5", "f121-k6"])
+def test_one_point_witness_equals_its_batch_row(which):
+    ctx = small_k4_context() if which == "f13-k4" else framed_context(int(which[-1]))
+    field, k = ctx.field, ctx.arc.k
+    points = _sample_proj_points(field, k, 120, np.random.default_rng(5), ctx.arc.encs)
+    if k == 5:
+        points = np.vstack([points, k5_candidates(ctx.curve, ctx.arc)[0][::500]])
+    batch = ctx.witnesses(points)
+    failures = iter(batch.failures)
+    for i, pt in enumerate(points):
+        if batch.found[i]:
+            assert ctx.witness(pt) == batch.report(i)
+        else:
+            expected = next(failures)
+            with pytest.raises(NoWitnessFound) as caught:
+                ctx.witness(pt)
+            assert caught.value.point == expected.point == tuple(int(v) for v in pt)
+            assert str(caught.value) == str(expected)
+    assert next(failures, None) is None
+
+
+def _corrupt_triples(ctx):
+    tri = ctx.system.tri.copy()
+    tri[tri >= 0] = (tri[tri >= 0] + 1) % ctx.arc.n
+    return ctx.system, "tri", tri
+
+
+def _repeat_a_base_point(ctx):
+    return ctx, "_y0", ctx._y0[[0, 0, 1]]
+
+
+def _shift_a_line(ctx):
+    enc = ctx.system.dual_enc.copy()
+    return ctx.system, "dual_enc", np.roll(enc, 1)
+
+
+def _double_every_arc_point(ctx):
+    # the listed points stay distinct and incident; only the section grows
+    doubled = np.vstack([ctx.arc.coords, ctx.arc.coords])
+    return ctx.arc, "_w", linear_w_matrix(ctx.field, doubled)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_triples, _repeat_a_base_point, _shift_a_line,
+                                     _double_every_arc_point])
+def test_self_verification_raises_on_a_broken_witness(monkeypatch, corrupt):
+    ctx = framed_context(6)
+    points = _sample_proj_points(ctx.field, 6, 200, np.random.default_rng(2), ctx.arc.encs)
+    points = np.vstack([points, [(1, 2, 3, 4, 0, 5)]])  # a case-1 row uses the Y = 0 points
+    monkeypatch.setattr(*corrupt(ctx))
+    with pytest.raises(InvariantViolated):
+        ctx.witnesses(points)
+
+
+def test_witness_rejects_arc_points_and_bad_coordinates():
+    ctx = framed_context(4)
+    with pytest.raises(ValueError):
+        ctx.witness(ctx.arc.points[0])
+    with pytest.raises(ValueError):
+        ctx.witness((0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        ctx.witness((1, 2, 3, ctx.field.q))

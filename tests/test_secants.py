@@ -170,25 +170,38 @@ def test_min_trisecants_deterministic_across_instances():
     assert one == two
 
 
-def test_trisecants_through_queries():
-    f7 = field_make(7)
-    curve = short_curve(f7, 0, 5, 1)
-    system = LineSystem(curve)
-    ext_id = int(np.flatnonzero(system.external_mask())[0])
-    pt = system.point_id_to_proj(ext_id)
-    hits = system.trisecants_through(pt)
-    prof = line_profile(curve, pt)
-    assert len(hits) == prof.trisecants
-    for dual, triple in hits:
-        # the dual passes through the query point and all triple points
-        from ellnmds.geometry import incidence
+def _pencil_trisecants(curve, point):
+    """(dual, triple) per trisecant through a point, from line_meet's exact
+    factorisation of every line of the pencil."""
+    out = []
+    for dual in lines_through(curve.field, point):
+        meet = line_meet(curve, dual)
+        if meet.kind == KIND_TRISECANT:
+            out.append((meet.dual, tuple(p for p, _ in meet.points)))
+    return out
 
-        assert incidence(f7, dual, pt)
-        for p in triple:
-            coords = (0, 0, 1) if p is INFINITY else (1,) + p
-            assert incidence(f7, dual, coords)
-    affine_only = system.trisecants_through(pt, require_affine=True)
-    assert all(triple[-1] is not INFINITY for _, triple in affine_only)
+
+def test_trisecants_through_queries():
+    # short and shifted models, a prime and a prime-square field; points of
+    # all three planar types, on and off the curve
+    for q, coeffs in [(7, (0, 0, 0, 5, 1)), (7, (1, 2, 0, 3, 5)), (9, (1, 0, 0, 1, 2)),
+                      (13, (0, 0, 0, 2, 5))]:
+        field = field_make(*(3, 2) if q == 9 else (q, 1))
+        curve = curve_make(field, coeffs)
+        system = LineSystem(curve)
+        avoid = curve.affine_points[:2] + (INFINITY,)
+        affine = [(1, x, y) for x in range(0, q, 2) for y in range(q)]
+        infinite = [(0, 1, m) for m in range(q)]
+        for pt in affine + infinite + [(0, 0, 1)]:
+            exact = _pencil_trisecants(curve, pt)
+            # the table-backed query lists the same lines, triples and order
+            assert system.trisecants_through(pt) == exact
+            assert system.trisecants_through(pt, require_affine=True) == [
+                (d, t) for d, t in exact if INFINITY not in t
+            ]
+            assert system.trisecants_through(pt, avoid_points=avoid) == [
+                (d, t) for d, t in exact if not set(t) & set(avoid)
+            ]
 
 
 def test_zero_j_hypotheses():
