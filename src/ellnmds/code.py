@@ -28,7 +28,8 @@ from .gf import (  # noqa: F401  (parity_check is re-exported)
     rank_gf,
     rref_gf,
 )
-from .geometry import EllipticArc, arc_make, proj_reps, proj_reps_cached, proj_space_size
+from .geometry import (EllipticArc, arc_make, proj_chunks, proj_reps, proj_space_size,
+                       scan_chunk_rows)
 
 LABEL_MDS = "MDS"
 LABEL_NMDS = "NMDS"
@@ -99,15 +100,10 @@ def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
     reps = proj_space_size(field.q, m)
     budget.charge("codeword_enumeration", reps * code.n)
     w = linear_w_matrix(field, code.matrix.T)  # dot rows: x . column selections
-    cached = proj_reps_cached(field, m)
-    if cached is not None:
-        _, digits = cached
-        return code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
-    weights = []
-    for block in proj_reps(field, m, 1 << 15):
-        zero = dot_zero_mask(field, block, w)
-        weights.append(code.n - zero.sum(axis=1))
-    return np.concatenate(weights)
+    return np.concatenate([
+        code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
+        for _, digits in proj_chunks(field, m, scan_chunk_rows(field, code.n))
+    ])
 
 
 def min_distance(code: LinearCode, budget: Budget | None = None) -> int:

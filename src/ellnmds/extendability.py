@@ -40,7 +40,7 @@ from .geometry import (
     arc_make,
     complete_arc,
     coords_to_enc,
-    normalize_coords,
+    normalize_points,
     normalize_rows,
     proj_space_size,
 )
@@ -307,10 +307,7 @@ class WitnessContext:
         memory through the batch size B (``WITNESS_CHUNK`` when sampling).
         """
         field, k = self.field, self.arc.k
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, k)
-        if ((pts < 0) | (pts >= field.q)).any() or not pts.any(axis=1).all():
-            raise ValueError("query points need encodings in range and a nonzero coordinate")
-        pts = normalize_rows(field, pts)
+        pts = normalize_points(field, k, points)
         on_arc = np.isin(coords_to_enc(pts, field.q), self.arc.encs)
         if on_arc.any():
             raise ValueError(f"{tuple(int(v) for v in pts[on_arc][0])} is an arc point")
@@ -436,24 +433,24 @@ class WitnessContext:
         hyper[got, 4], hyper[got, 5] = field.sub_np(c, b), field.neg_np(c)
 
 
-def k5_candidates(curve: EllipticCurve, arc: EllipticArc) -> tuple[list[tuple], tuple]:
+def k5_candidates(curve: EllipticCurve) -> tuple[list[tuple], tuple]:
     """Points the dimension-5 case analysis cannot rule out.
 
     Shapes (Q1, Q2, Q3, 0, rho*Q2) with Q2 != 0 and (0, rho) on the curve;
-    returns (candidates in canonical order, admissible ratios).
+    returns (candidates in canonical order, admissible ratios).  The rows are
+    built normalized, and distinct ratios give distinct rows.
     """
     field = curve.field
+    q = field.q
     x0_affine = [p for p, _ in line_meet(curve, (0, 1, 0)).points if p is not INFINITY]
     ratios = tuple(sorted(y for _, y in x0_affine))
-    out = []
-    for rho in ratios:
-        for q3 in range(field.q):
-            out.append((0, 1, q3, 0, rho))
-        for q2 in range(1, field.q):
-            for q3 in range(field.q):
-                out.append((1, q2, q3, 0, field.mul(rho, q2)))
-    # lexicographic order of normalized tuples is the canonical point order
-    return sorted({normalize_coords(field, c) for c in out}), ratios
+    # per ratio, the q^2 triples (Q1, Q2, Q3): Q1 = 0 with Q2 = 1, then Q1 = 1
+    idx = np.arange(q * q, dtype=np.int64)
+    q1 = (idx >= q).astype(np.int64)
+    q2 = np.where(q1 == 1, idx // q, 1)
+    rho_q2 = field.mul_np(np.array(ratios, dtype=np.int64)[:, None], q2[None, :])
+    rows = np.stack(np.broadcast_arrays(q1, q2, idx % q, 0 * q1, rho_q2), axis=-1).reshape(-1, 5)
+    return list(map(tuple, rows[np.argsort(coords_to_enc(rows, q))].tolist())), ratios
 
 
 # ---- theorem verification ---------------------------------------------------
@@ -622,7 +619,7 @@ def _verify_k5(curve, budget, report, seed, sample, force, workers):
     if arc is None:
         return
     ctx = WitnessContext(arc)
-    cands, ratios = k5_candidates(framed, arc)
+    cands, ratios = k5_candidates(framed)
     report.notes.append(f"candidates={len(cands)} ratios={list(ratios)}")
     field = framed.field
 

@@ -27,6 +27,7 @@ from .errors import (
     Budget,
     BudgetExceeded,
     DimensionMismatch,
+    DivisionByZero,
     InvariantViolated,
     KOutOfRange,
     ensure_budget,
@@ -52,17 +53,40 @@ def proj_space_size(q: int, k: int) -> int:
 
 
 def normalize_coords(field: Field, coords) -> tuple[int, ...]:
-    coords = [int(c) for c in coords]
-    for c in coords:
-        if not 0 <= c < field.q:
-            raise ValueError(f"encoding {c} out of range")
-    lead = next((i for i, c in enumerate(coords) if c != 0), None)
-    if lead is None:
-        raise ValueError("projective coordinates cannot all vanish")
-    if coords[lead] != 1:
-        s = field.inv(coords[lead])
-        coords = [field.mul(s, c) for c in coords]
-    return tuple(coords)
+    """One-row form of :func:`normalize_points`."""
+    return tuple(normalize_points(field, len(coords), [coords])[0].tolist())
+
+
+def normalize_points(field: Field, k: int, rows) -> np.ndarray:
+    """Checked, normalized (m, k) int64 array of point or hyperplane rows from
+    outside the module: a width other than k raises DimensionMismatch, an
+    encoding outside [0, q) or an all-zero row raises ValueError."""
+    try:
+        rows = np.asarray(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"encodings must lie in [0, {field.q})") from exc
+    if rows.shape == (0,):
+        rows = rows.reshape(0, k)
+    if rows.ndim != 2 or rows.shape[1] != k:
+        raise DimensionMismatch(f"rows of shape {rows.shape} need {k} coordinates each")
+    if rows.size and (rows.min() < 0 or rows.max() >= field.q):
+        raise ValueError(f"encodings must lie in [0, {field.q})")
+    try:
+        return normalize_rows(field, rows)
+    except DivisionByZero as exc:  # only an all-zero row has a zero leading coordinate
+        raise ValueError("projective coordinates cannot all vanish") from exc
+
+
+def normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
+    """Vectorized projective normalization of nonzero rows; rows from outside
+    the module go through :func:`normalize_points` first."""
+    lead = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
+    if (lead == 1).all():  # already normalized, as embedded curve points are
+        return coords.copy()
+    scale = field.inv_np(lead)
+    if field.r == 1:
+        return (coords * scale[:, None]) % field.p
+    return field.mul_np(coords, scale[:, None])
 
 
 def incidence(field: Field, hyperplane, point) -> bool:
@@ -99,11 +123,11 @@ def proj_reps_cached(field: Field, k: int):
     """All normalized representatives plus their digit expansion, cached.
 
     Only spaces of at most ``_REPS_CACHE_MAX_ROWS`` points are cached, one
-    entry per (p, r, k); callers fall back to the chunked generator above
-    that size.  An entry takes 8k + 4kr bytes a row: P^3(F_121), 1.79M rows,
-    takes about 115 MB.  An entry is built completely, then
-    published with one setdefault, so threads that race only duplicate the
-    work.  Returns (coords, digits) or None when the space is too large.
+    entry per (p, r, k); :func:`proj_chunks` generates larger ones.  An entry
+    takes 8k + 4kr bytes a row: P^3(F_121), 1.79M rows, takes about 115 MB.
+    An entry is built completely, then published with one setdefault, so
+    threads that race only duplicate the work.  Returns (coords, digits) or
+    None when the space is too large.
     """
     size = proj_space_size(field.q, k)
     if size > _REPS_CACHE_MAX_ROWS:
@@ -135,6 +159,21 @@ def proj_reps(field: Field, k: int, chunk_rows: int | None = None):
                 coords[:, i] = rem % q
                 rem = rem // q
             yield coords
+
+
+def proj_chunks(field: Field, k: int, rows: int):
+    """Yield (coords, digit rows) of P^{k-1}(F_q) in canonical order, at most
+    ``rows`` points a chunk: slices of :func:`proj_reps_cached` when the space
+    fits the cache, generated chunks otherwise."""
+    cached = proj_reps_cached(field, k)
+    if cached is not None:
+        coords, digits = cached
+        for start in range(0, len(coords), rows):
+            yield coords[start: start + rows], digits[start: start + rows]
+        return
+    dtype = gemm_dtype(field, k)
+    for coords in proj_reps(field, k, rows):
+        yield coords, rows_digits(field, coords, dtype)
 
 
 def psi(field: Field, i: int, x: int, y: int) -> int:
@@ -175,12 +214,11 @@ class ProjPointSet:
     def __init__(self, field: Field, k: int, points, arc: "EllipticArc | None" = None):
         self.field = field
         self.k = k
-        pts = [normalize_coords(field, p) for p in points]
-        if len(set(pts)) != len(pts):
-            raise ValueError("points must be distinct")
-        self.points = tuple(pts)
-        self.coords = np.array(pts, dtype=np.int64).reshape(len(pts), k)
+        self.coords = normalize_points(field, k, points)
         self.encs = coords_to_enc(self.coords, field.q)
+        if len(set(self.encs.tolist())) != len(self.encs):
+            raise ValueError("points must be distinct")
+        self.points = tuple(map(tuple, self.coords.tolist()))
         self._w = None
         self._profile = None
         self.arc = arc  # the elliptic arc whose points lead this set, if any
@@ -198,17 +236,14 @@ class ProjPointSet:
     def with_point(self, coords) -> "ProjPointSet":
         """Extended copy that keeps the leading arc, so full-hyperplane
         enumeration still runs the group law on the arc's points."""
-        return ProjPointSet(self.field, self.k, list(self.points) + [tuple(coords)],
-                            arc=self.arc)
+        return ProjPointSet(self.field, self.k, [*self.points, coords], arc=self.arc)
 
     def secant_count(self, hyperplane) -> int:
-        h = np.asarray([normalize_coords(self.field, hyperplane)], dtype=np.int64)
-        if h.shape[1] != self.k:
-            raise DimensionMismatch(f"hyperplane has {h.shape[1]} coords, expected {self.k}")
+        h = normalize_points(self.field, self.k, [hyperplane])
         return int(dot_zero_mask(self.field, h, self.w_matrix).sum())
 
     def incident_points(self, hyperplane) -> list[tuple[int, ...]]:
-        h = np.asarray([normalize_coords(self.field, hyperplane)], dtype=np.int64)
+        h = normalize_points(self.field, self.k, [hyperplane])
         mask = dot_zero_mask(self.field, h, self.w_matrix)[0]
         return [self.points[i] for i in np.flatnonzero(mask)]
 
@@ -256,9 +291,9 @@ def arc_make(curve: EllipticCurve, k: int, budget: Budget | None = None) -> Elli
 # ---- scanning engines ------------------------------------------------------
 
 
-def _scan_chunk_rows(ps: ProjPointSet) -> int:
-    width = max(1, ps.n * ps.field.r)
-    return max(4096, _CHUNK_FLOATS // width)
+def scan_chunk_rows(field: Field, n: int) -> int:
+    """Rows a chunk when scanning against n points (see ``_CHUNK_FLOATS``)."""
+    return max(4096, _CHUNK_FLOATS // max(1, n * field.r))
 
 
 def _map_ordered(fn, items, workers: int):
@@ -297,19 +332,7 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
     profile = np.zeros(k + 1, dtype=np.int64)
     fulls = []
     w = ps.w_matrix
-    step = chunk_rows or _scan_chunk_rows(ps)
-    cached = proj_reps_cached(field, k)
-
-    def chunks():
-        if cached is not None:
-            coords_all, digits_all = cached
-            for start in range(0, len(coords_all), step):
-                sl = slice(start, start + step)
-                yield coords_all[sl], digits_all[sl]
-        else:
-            dtype = gemm_dtype(field, k)
-            for coords in proj_reps(field, k, step):
-                yield coords, rows_digits(field, coords, dtype)
+    chunks = proj_chunks(field, k, chunk_rows or scan_chunk_rows(field, n))
 
     def work(pair):
         coords, digits = pair
@@ -317,7 +340,7 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
         hit = coords[counts == k] if collect_fulls else None
         return counts, coords, hit
 
-    for counts, coords, hit in _map_ordered(work, chunks(), workers):
+    for counts, coords, hit in _map_ordered(work, chunks, workers):
         top = int(counts.max(initial=0))
         if top > k:
             bad = coords[int(np.argmax(counts))]
@@ -331,9 +354,11 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
     return profile, full_arr
 
 
-def filter_by_fulls(field: Field, cand: np.ndarray, fulls: np.ndarray) -> np.ndarray:
+def filter_by_fulls(field: Field, cand: np.ndarray, digits: np.ndarray,
+                    fulls: np.ndarray) -> np.ndarray:
     """Remove candidate points lying on any of the given hyperplanes.
 
+    ``digits`` holds the candidates' digit rows and is cut down with them.
     Walks the hyperplane list in doubling batches; most candidates die early,
     so the expected work is far below len(cand) * len(fulls).
     """
@@ -343,9 +368,8 @@ def filter_by_fulls(field: Field, cand: np.ndarray, fulls: np.ndarray) -> np.nda
     batch = _FULLS_START_BATCH
     while pos < len(fulls) and len(cand):
         block = fulls[pos: pos + batch]
-        w = linear_w_matrix(field, block)
-        on_any = dot_zero_mask(field, cand, w).any(axis=1)
-        cand = cand[~on_any]
+        keep = ~dot_zero_mask_digits(field, digits, linear_w_matrix(field, block)).any(axis=1)
+        cand, digits = cand[keep], digits[keep]
         pos += len(block)
         batch = min(batch * 2, _FULLS_MAX_BATCH)
     return cand
@@ -361,17 +385,15 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None,
     Results follow the canonical point order.
     """
     budget = ensure_budget(budget)
-    field, k, n = ps.field, ps.k, ps.n
+    field = ps.field
     profile, fulls = secant_scan(ps, budget, workers=workers)
     if ps._profile is None:
         ps._profile = profile
     survivors = []
-    own = np.sort(ps.encs)
-    for coords in proj_reps(field, k, _scan_chunk_rows(ps)):
-        encs = coords_to_enc(coords, field.q)
-        cand = coords[~np.isin(encs, own)]
-        cand = filter_by_fulls(field, cand, fulls)
-        survivors.extend(tuple(int(c) for c in row) for row in cand)
+    for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
+        keep = ~np.isin(coords_to_enc(coords, field.q), ps.encs)
+        cand = filter_by_fulls(field, coords[keep], digits[keep], fulls)
+        survivors.extend(map(tuple, cand.tolist()))
     return survivors
 
 
@@ -434,18 +456,6 @@ def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     return duals
 
 
-def normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
-    """Vectorized projective normalization; rows must be nonzero."""
-    coords = np.asarray(coords, dtype=np.int64)
-    nz = coords != 0
-    lead_idx = np.argmax(nz, axis=1)
-    lead = coords[np.arange(len(coords)), lead_idx]
-    scale = field.inv_np(lead)
-    if field.r == 1:
-        return (coords * scale[:, None]) % field.p
-    return field.mul_np(coords, scale[:, None])
-
-
 def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None) -> np.ndarray:
     """Dual coordinates of every k-secant (full) hyperplane, in encoding order.
 
@@ -466,7 +476,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
     An incidence matmul confirms every hyperplane: a group-law one must meet
     the set in exactly its k predicted points, or ArcPropertyViolated (more
     than k) or InvariantViolated is raised.  Memory: the group sums of the
-    C(n_A, k-2) subsets (int32), plus windows of ``_scan_chunk_rows`` subsets.
+    C(n_A, k-2) subsets (int32), plus windows of ``scan_chunk_rows`` subsets.
     The budget charge keeps the (k-1)-subset span estimate, which overstates
     this work.
     """
@@ -481,7 +491,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
     binoms = [np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
               for i in range(m + 1)]
     split, total = int(binoms[m][n_arc]), int(binoms[m][n])
-    step = _scan_chunk_rows(ps)
+    step = scan_chunk_rows(field, n)
     w = ps.w_matrix
     arc_encs, x_encs = [], []
     for lo in itertools.chain(range(0, split, step), range(split, total, step)):
@@ -535,15 +545,15 @@ def addable_filter(ps: ProjPointSet, candidates,
     """
     budget = ensure_budget(budget)
     field = ps.field
-    cand = np.array([normalize_coords(field, c) for c in candidates], dtype=np.int64)
+    cand = normalize_points(field, ps.k, candidates)
     if len(cand) == 0:
         return []
-    order = np.argsort(coords_to_enc(cand, field.q), kind="stable")
-    cand = cand[order]
-    cand = cand[~np.isin(coords_to_enc(cand, field.q), ps.encs)]
+    encs = coords_to_enc(cand, field.q)
+    order = np.argsort(encs, kind="stable")
+    cand = cand[order[~np.isin(encs[order], ps.encs)]]
     fulls = full_hyperplanes_via_subsets(ps, budget)
-    survivors = filter_by_fulls(field, cand, fulls)
-    return [tuple(int(c) for c in row) for row in survivors]
+    survivors = filter_by_fulls(field, cand, rows_digits(field, cand), fulls)
+    return list(map(tuple, survivors.tolist()))
 
 
 def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = None) -> int:
@@ -639,6 +649,6 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
         added.append(pick)
         current = current.with_point(pick)
         if pool is not None:
-            pool = [c for c in addable if tuple(c) != pick]
+            pool = addable[1:]
         addable = addable_now()
     return CompletionResult(added=added, complete=not addable, final=current)

@@ -199,20 +199,15 @@ def lines_through(field, point):
             basis.append(list(cand))
         if len(basis) == 2:
             break
-    duals = set()
-    for alpha, beta in [(0, 1)] + [(1, b) for b in range(field.q)]:
-        combo = tuple(
-            field.add(field.mul(alpha, u), field.mul(beta, v))
-            for u, v in zip(basis[0], basis[1])
-        )
-        duals.add(normalize_coords(field, combo))
-    if len(duals) != field.q + 1:
-        raise InvariantViolated(f"pencil of {len(duals)} lines, expected {field.q + 1}")
-    return sorted(duals, key=lambda d: _enc3(field.q, d))
-
-
-def _enc3(q, d):
-    return (d[0] * q + d[1]) * q + d[2]
+    mix = np.array([(0, 1)] + [(1, b) for b in range(field.q)], dtype=np.int64)
+    u, v = np.array(basis, dtype=np.int64)
+    combos = field.add_np(field.mul_np(mix[:, :1], u), field.mul_np(mix[:, 1:], v))
+    duals = normalize_rows(field, combos)
+    encs = coords_to_enc(duals, field.q)
+    distinct = len(set(encs.tolist()))
+    if distinct != field.q + 1:
+        raise InvariantViolated(f"pencil of {distinct} lines, expected {field.q + 1}")
+    return list(map(tuple, duals[np.argsort(encs)].tolist()))
 
 
 # ---- closure tangency via the slope discriminant ---------------------------

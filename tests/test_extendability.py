@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellnmds import extendability
-from ellnmds.curve import INFINITY, curve_scan, short_curve
+from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
 from ellnmds.errors import (
     Budget,
+    DimensionMismatch,
     HypothesisNotMet,
     InvariantViolated,
     NoFrameFound,
@@ -30,7 +31,14 @@ from ellnmds.extendability import (
     verify_main_theorem,
     verify_zero_j_theorem,
 )
-from ellnmds.geometry import arc_make, coords_to_enc, incidence, normalize_coords, phi_k
+from ellnmds.geometry import (
+    addable_filter,
+    arc_make,
+    coords_to_enc,
+    incidence,
+    normalize_coords,
+    phi_k,
+)
 from ellnmds.gf import field_make, linear_w_matrix
 from ellnmds.secants import line_meet, KIND_TRISECANT
 
@@ -120,8 +128,7 @@ def test_choose_frame_gate_and_force():
 def test_k5_candidates_shape_and_count():
     curve = f121_first_j_nonzero()
     framed, _ = choose_frame(curve)
-    arc = arc_make(framed, 5)
-    cands, ratios = k5_candidates(framed, arc)
+    cands, ratios = k5_candidates(framed)
     q = framed.field.q
     assert len(ratios) == 2
     assert len(cands) == 2 * q * q  # 2 ratios x (q(q-1) affine + q infinite) shapes
@@ -132,6 +139,32 @@ def test_k5_candidates_shape_and_count():
     assert cands == sorted(set(cands), key=lambda t: tuple(t))
 
 
+def _k5_candidates_reference(curve):
+    # the nested-loop construction: every shape, normalized one point at a time
+    field = curve.field
+    x0_affine = [p for p, _ in line_meet(curve, (0, 1, 0)).points if p is not INFINITY]
+    ratios = tuple(sorted(y for _, y in x0_affine))
+    out = []
+    for rho in ratios:
+        for q3 in range(field.q):
+            out.append((0, 1, q3, 0, rho))
+        for q2 in range(1, field.q):
+            for q3 in range(field.q):
+                out.append((1, q2, q3, 0, field.mul(rho, q2)))
+    return sorted({normalize_coords(field, c) for c in out}), ratios
+
+
+@pytest.mark.parametrize("q", [121, 11])
+def test_k5_candidates_match_the_nested_loop_construction(q):
+    if q == 121:
+        framed, _ = choose_frame(f121_first_j_nonzero())
+    else:
+        framed, _ = choose_frame(curve_make(field_make(11), (0, 0, 0, 1, 4)), force=True)
+    cands, ratios = k5_candidates(framed)
+    assert ratios
+    assert (cands, ratios) == _k5_candidates_reference(framed)
+
+
 def test_k5_candidates_empty_without_section():
     f13 = field_make(13)
 
@@ -140,8 +173,7 @@ def test_k5_candidates_empty_without_section():
         return not f13.is_square(c.coeffs[4])
 
     curve = next(c for c in curve_scan(f13) if no_section(c) and c.n >= 6)
-    arc = arc_make(curve, 5)
-    cands, ratios = k5_candidates(curve, arc)
+    cands, ratios = k5_candidates(curve)
     assert cands == [] and ratios == ()
 
 
@@ -155,7 +187,7 @@ def test_witness_reports_verify(k):
     rng = np.random.default_rng(k)
     cand_set = set()
     if k == 5:
-        cand_set = set(k5_candidates(framed, arc)[0])
+        cand_set = set(k5_candidates(framed)[0])
     seen_tags = set()
     count = 0
     while count < 60:
@@ -178,7 +210,7 @@ def test_witness_candidates_rejected():
     framed, _ = choose_frame(curve)
     arc = arc_make(framed, 5)
     ctx = WitnessContext(arc)
-    cands, _ = k5_candidates(framed, arc)
+    cands, _ = k5_candidates(framed)
     for pt in cands[:40]:
         with pytest.raises(NoWitnessFound):
             ctx.witness(pt)
@@ -261,7 +293,7 @@ def test_sampler_matches_the_reference_loop(case):
         field, k, count, exclude = arc.field, 6, 700, arc.encs
     elif case == "f121-k5":
         arc = framed_context(5).arc
-        cands, _ = k5_candidates(arc.curve, arc)
+        cands, _ = k5_candidates(arc.curve)
         field, k, count = arc.field, 5, 300
         exclude = np.union1d(arc.encs, coords_to_enc(np.array(cands), field.q))
     elif case == "f13-k4":
@@ -356,7 +388,7 @@ def test_one_point_witness_equals_its_batch_row(which):
     field, k = ctx.field, ctx.arc.k
     points = _sample_proj_points(field, k, 120, np.random.default_rng(5), ctx.arc.encs)
     if k == 5:
-        points = np.vstack([points, k5_candidates(ctx.curve, ctx.arc)[0][::500]])
+        points = np.vstack([points, k5_candidates(ctx.curve)[0][::500]])
     batch = ctx.witnesses(points)
     failures = iter(batch.failures)
     for i, pt in enumerate(points):
@@ -401,6 +433,17 @@ def test_self_verification_raises_on_a_broken_witness(monkeypatch, corrupt):
     monkeypatch.setattr(*corrupt(ctx))
     with pytest.raises(InvariantViolated):
         ctx.witnesses(points)
+
+
+def test_rows_of_the_wrong_width_raise_dimension_mismatch():
+    # an 8-coordinate point was once read as two points of P^3
+    ctx = small_k4_context()
+    with pytest.raises(DimensionMismatch):
+        ctx.witnesses([(1, 2, 3, 4, 1, 0, 5, 6)])
+    with pytest.raises(DimensionMismatch):
+        ctx.witness((1, 2, 3, 4, 1, 0, 5, 6))
+    with pytest.raises(DimensionMismatch):
+        addable_filter(ctx.arc, [(1, 2, 3)])
 
 
 def test_witness_rejects_arc_points_and_bad_coordinates():

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
-from ellnmds.errors import ArcPropertyViolated, BadIndex, InvariantViolated, KOutOfRange
+from ellnmds import geometry
+from ellnmds.code import generator_matrix, min_distance
+from ellnmds.errors import (
+    ArcPropertyViolated,
+    BadIndex,
+    DimensionMismatch,
+    InvariantViolated,
+    KOutOfRange,
+)
 from ellnmds.extendability import choose_frame, k5_candidates
 from ellnmds.geometry import (
     ProjPointSet,
@@ -16,6 +24,8 @@ from ellnmds.geometry import (
     full_hyperplanes_via_subsets,
     incidence,
     normalize_coords,
+    normalize_points,
+    normalize_rows,
     phi_k,
     proj_reps,
     proj_space_size,
@@ -121,6 +131,38 @@ def test_normalization_and_incidence_invariance():
         assert incidence(f, h, ps) == base
 
 
+def _reference_normalize(field, row):
+    # scale by the inverse of the leading coordinate, found by search
+    lead = next(c for c in row if c)
+    inv = next(s for s in range(1, field.q) if field.mul(s, lead) == 1)
+    return tuple(field.mul(inv, c) for c in row)
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)])
+def test_normalize_rows_matches_a_plain_integer_reference(p, r):
+    field = field_make(p, r)
+    rng = np.random.default_rng(p * 10 + r)
+    rows = rng.integers(0, field.q, size=(300, 4))
+    rows[:100, :2] = 0  # leading zeros move the pivot
+    rows[:50, 2] = 0
+    rows = rows[rows.any(axis=1)]
+    want = [_reference_normalize(field, [int(v) for v in row]) for row in rows]
+    assert [tuple(row) for row in normalize_rows(field, rows).tolist()] == want
+    assert [tuple(row) for row in normalize_points(field, 4, rows).tolist()] == want
+    assert [normalize_coords(field, row) for row in rows[:20]] == want[:20]
+    normalized = normalize_rows(field, rows)  # every leading coordinate 1: a copy comes back
+    again = normalize_rows(field, normalized)
+    assert again is not normalized and np.array_equal(again, normalized)
+    for bad in ([0, 0, 0, 0], [1, 2, field.q, 0], [1, -1, 0, 0], [1, 2**70, 0, 0]):
+        with pytest.raises(ValueError):
+            normalize_points(field, 4, [rows[0], bad])
+        with pytest.raises(ValueError):
+            normalize_coords(field, bad)
+    for bad in ([(1, 2, 3)], [(1, 2, 3, 4, 5)], [1, 2, 3, 4]):
+        with pytest.raises(DimensionMismatch):
+            normalize_points(field, 4, bad)
+
+
 def test_proj_enumeration_order_and_size():
     f = field_make(5)
     rows = np.vstack(list(proj_reps(f, 3, chunk_rows=7)))
@@ -212,7 +254,7 @@ def test_subset_route_after_completion_rounds():
     field = field_make(11)
     framed, _ = choose_frame(curve_make(field, (0, 0, 0, 1, 4)), force=True)
     arc = arc_make(framed, 5)
-    cands, _ = k5_candidates(framed, arc)
+    cands, _ = k5_candidates(framed)
     result = complete_arc(arc, 3, candidates=cands)
     assert result.added == [(0, 1, 0, 0, 2), (0, 1, 1, 0, 9)]
     ps = arc
@@ -265,6 +307,27 @@ def test_addable_filter_agrees_with_full_scan():
         reps = prime_proj_reps(7, 4)
         filtered = addable_filter(arc, [tuple(int(v) for v in r) for r in reps])
         assert filtered == full
+
+
+def test_scans_agree_without_the_reps_cache(monkeypatch):
+    # both branches of proj_chunks: slices of the cached space, then
+    # generated chunks once no space fits the cache
+    curves = [next(c for c in curve_scan(field_of_order(q)) if c.n >= 8) for q in (7, 9)]
+
+    def results():
+        out = []
+        for curve in curves:
+            for k in (3, 4):
+                arc = arc_make(curve, k)
+                profile, fulls = secant_scan(arc, _big_budget())
+                out.append((profile.tolist(), fulls.tolist(), addable_points(arc),
+                            min_distance(generator_matrix(curve, k))))
+        return out
+
+    cached = results()
+    monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
+    assert geometry.proj_reps_cached(curves[0].field, 3) is None
+    assert results() == cached
 
 
 def test_complete_arc_greedy_matches_naive():
@@ -327,3 +390,7 @@ def test_point_set_rejects_duplicates_and_dimension():
     ps = ProjPointSet(f, 3, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(Exception):
         ps.secant_count((1, 0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        ProjPointSet(f, 3, [(1, 0, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        ps.incident_points((1, 0))

@@ -35,3 +35,42 @@ def test_no_imports_inside_functions():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _calls(name):
+    """(file:line, innermost enclosing function, inside a loop of that
+    function) for every call of ``name`` in the library."""
+    out = []
+
+    def visit(node, path, func, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if getattr(callee, "id", None) == name or getattr(callee, "attr", None) == name:
+                    out.append((f"{path.name}:{child.lineno}", func, in_loop))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name, False)
+            else:
+                visit(child, path, func, in_loop or isinstance(child, _LOOPS))
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None, False)
+    return out
+
+
+def test_only_the_chunk_walk_and_the_chain_search_read_the_reps_cache():
+    # every scan of P^{k-1} goes through geometry.proj_chunks, which decides
+    # between cache slices and generated chunks in one place
+    callers = {func for _, func, _ in _calls("proj_reps_cached")}
+    assert callers == {"proj_chunks", "max_extension_chain"}
+
+
+def test_normalize_coords_is_never_called_per_point():
+    # point families are normalized as arrays by normalize_points; the
+    # one-row normalize_coords is for single points only
+    assert _calls("normalize_coords")
+    assert [where for where, _, in_loop in _calls("normalize_coords") if in_loop] == []

@@ -51,7 +51,7 @@ def case_points(framed, arc, seed):
     if k == 4:
         extra = [(0, 0, 1, x) for x in range(0, field.q, 17)]
     if k == 5:
-        cands, _ = k5_candidates(framed, arc)
+        cands, _ = k5_candidates(framed)
         extra = cands[seed::CANDIDATE_STRIDE]
         exclude.update(int(e) for e in coords_to_enc(np.array(cands, dtype=np.int64), field.q))
     rng = np.random.default_rng(seed)
