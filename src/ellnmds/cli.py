@@ -174,7 +174,9 @@ def cmd_arc(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
     arc = arc_make(curve, args.k, budget)
-    addable = addable_points(arc, budget, workers=args.workers)
+    addable = []
+    result = complete_arc(arc, max_add=args.max_add if args.complete else 0, budget=budget,
+                          workers=args.workers, on_first=addable.extend)
     payload = {
         "field": field.descriptor(),
         "curve": curve.to_json_dict(include_points=False),
@@ -185,7 +187,6 @@ def cmd_arc(args) -> int:
         "complete": not addable,
     }
     if args.complete:
-        result = complete_arc(arc, max_add=args.max_add, budget=budget, workers=args.workers)
         payload["completionAdded"] = [list(p) for p in result.added]
         payload["completeAfter"] = result.complete
     _emit(args, payload, budget,

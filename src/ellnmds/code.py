@@ -59,6 +59,7 @@ class LinearCode:
             raise ValueError("zero code has no distance parameters")
         self.arc = arc
         self._d = None
+        self._weights = None
         self._d_dual = None
         self._d_paths = None
 
@@ -94,16 +95,18 @@ def generator_matrix(curve: EllipticCurve, k: int, budget: Budget | None = None)
 
 
 def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
-    """Hamming weights of one codeword per projective class of messages."""
-    field = code.field
-    m = len(code.rows)
-    reps = proj_space_size(field.q, m)
-    budget.charge("codeword_enumeration", reps * code.n)
-    w = linear_w_matrix(field, code.matrix.T)  # dot rows: x . column selections
-    return np.concatenate([
-        code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
-        for _, digits in proj_chunks(field, m, scan_chunk_rows(field, code.n))
-    ])
+    """Hamming weights of one codeword per projective class of messages,
+    enumerated on the first call and kept on the code (read-only)."""
+    if code._weights is None:
+        field, m = code.field, len(code.rows)
+        budget.charge("codeword_enumeration", proj_space_size(field.q, m) * code.n)
+        w = linear_w_matrix(field, code.matrix.T)  # dot rows: x . column selections
+        code._weights = np.concatenate([
+            code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
+            for _, digits in proj_chunks(field, m, scan_chunk_rows(field, code.n))
+        ])
+        code._weights.flags.writeable = False
+    return code._weights
 
 
 def min_distance(code: LinearCode, budget: Budget | None = None) -> int:
@@ -117,26 +120,18 @@ def min_distance(code: LinearCode, budget: Budget | None = None) -> int:
     if code._d is not None:
         return code._d
     budget = ensure_budget(budget)
-    d_geo = None
-    d_cw = None
-    if code.arc is not None:
-        d_geo = code.n - code.arc.max_secant(budget)
-        try:
-            budget.check("codeword_enumeration",
-                         proj_space_size(code.field.q, len(code.rows)) * code.n)
-            run_cw = True
-        except BudgetExceeded:
-            run_cw = False
-        if run_cw:
-            weights = _codeword_weights(code, budget)
-            d_cw = int(weights[weights > 0].min())
-            if d_cw != d_geo:
-                raise InvariantViolated(
-                    f"distance paths disagree: codewords give {d_cw}, incidences give {d_geo}"
-                )
-    else:
+    d_geo = None if code.arc is None else code.n - code.arc.max_secant(budget)
+    try:
         weights = _codeword_weights(code, budget)
-        d_cw = int(weights[weights > 0].min())
+    except BudgetExceeded:
+        if d_geo is None:
+            raise
+        weights = None  # refused before any work; the incidence path stands alone
+    d_cw = None if weights is None else int(weights[weights > 0].min())
+    if None not in (d_cw, d_geo) and d_cw != d_geo:
+        raise InvariantViolated(
+            f"distance paths disagree: codewords give {d_cw}, incidences give {d_geo}"
+        )
     code._d = d_geo if d_geo is not None else d_cw
     code._d_paths = {"codewords": d_cw, "secants": d_geo}
     return code._d

@@ -45,7 +45,7 @@ from .geometry import (
     proj_space_size,
 )
 from .gf import dot_zero_mask
-from .secants import KIND_TRISECANT, LineSystem, line_meet, zero_j_hypotheses
+from .secants import LineSystem, zero_j_hypotheses
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_VIOLATION = "VIOLATION"
@@ -121,32 +121,23 @@ def map_point_to_frame(curve: EllipticCurve, frame: Frame, point):
 
 
 def _coordinate_sections(curve: EllipticCurve):
-    """Affine intersections with X = 0, Y = 0 and X = Y, as point sets."""
-    x0 = line_meet(curve, (0, 1, 0))
-    y0 = line_meet(curve, (0, 0, 1))
-    xy = line_meet(curve, (0, 1, curve.field.neg(1)))
-    def affine(meet):
-        return tuple(p for p, _ in meet.points if p is not INFINITY)
-    return affine(x0), affine(y0), affine(xy), (x0, y0, xy)
+    """Affine points on X = 0, Y = 0 and X = Y, each in curve point order."""
+    pts = curve.affine_points
+    return (tuple(p for p in pts if p[0] == 0), tuple(p for p in pts if p[1] == 0),
+            tuple(p for p in pts if p[0] == p[1]))
 
 
 def frame_conditions(curve: EllipticCurve) -> tuple[bool, dict]:
-    """The three bullet conditions of the normalized frame."""
-    x0, y0, xy, meets = _coordinate_sections(curve)
-    mx0, my0, mxy = meets
-    ok_x0 = (
-        len(x0) == 2
-        and all(p != (0, 0) for p in x0)
-        and all(mult == 1 for _, mult in mx0.points)
-    )
-    ok_y0 = my0.kind == KIND_TRISECANT and len(y0) == 3
-    ok_xy = mxy.kind == KIND_TRISECANT and len(xy) == 3
+    """The three bullet conditions of the normalized frame, read off
+    :func:`_coordinate_sections`.  X = 0 also meets the infinite point, so
+    two affine points make it a trisecant; Y = 0 and X = Y need three."""
+    x0, y0, xy = _coordinate_sections(curve)
     detail = {
-        "xZeroTwoAffineOffOrigin": ok_x0,
-        "yZeroThreeAffine": ok_y0,
-        "diagonalThreeAffine": ok_xy,
+        "xZeroTwoAffineOffOrigin": len(x0) == 2 and (0, 0) not in x0,
+        "yZeroThreeAffine": len(y0) == 3,
+        "diagonalThreeAffine": len(xy) == 3,
     }
-    return ok_x0 and ok_y0 and ok_xy, detail
+    return all(detail.values()), detail
 
 
 def choose_frame(curve: EllipticCurve, force: bool = False) -> tuple[EllipticCurve, Frame]:
@@ -256,14 +247,14 @@ class WitnessContext:
     coordinate sections of the frame-normalized curve, and the trisecant
     masks each case of the analysis searches."""
 
-    def __init__(self, arc: EllipticArc, system: LineSystem | None = None):
+    def __init__(self, arc: EllipticArc):
         if arc.k not in (4, 5, 6):
             raise ValueError("witness recipes exist for k in {4, 5, 6}")
         self.arc = arc
         self.curve = arc.curve
         self.field = arc.field
-        self.system = system or LineSystem(self.curve)
-        self.x0_set, self.y0_set, self.xy_set, _ = _coordinate_sections(self.curve)
+        self.system = LineSystem(self.curve)
+        self.x0_set, self.y0_set, self.xy_set = _coordinate_sections(self.curve)
         if arc.k in (5, 6):
             ok, detail = frame_conditions(self.curve)
             if not ok:
@@ -442,8 +433,7 @@ def k5_candidates(curve: EllipticCurve) -> tuple[list[tuple], tuple]:
     """
     field = curve.field
     q = field.q
-    x0_affine = [p for p, _ in line_meet(curve, (0, 1, 0)).points if p is not INFINITY]
-    ratios = tuple(sorted(y for _, y in x0_affine))
+    ratios = tuple(y for _, y in _coordinate_sections(curve)[0])
     # per ratio, the q^2 triples (Q1, Q2, Q3): Q1 = 0 with Q2 = 1, then Q1 = 1
     idx = np.arange(q * q, dtype=np.int64)
     q1 = (idx >= q).astype(np.int64)

@@ -220,7 +220,7 @@ class ProjPointSet:
             raise ValueError("points must be distinct")
         self.points = tuple(map(tuple, self.coords.tolist()))
         self._w = None
-        self._profile = None
+        self._scan = None
         self.arc = arc  # the elliptic arc whose points lead this set, if any
 
     @property
@@ -247,12 +247,18 @@ class ProjPointSet:
         mask = dot_zero_mask(self.field, h, self.w_matrix)[0]
         return [self.points[i] for i in np.flatnonzero(mask)]
 
+    def scan(self, budget: Budget | None = None, workers: int = 1):
+        """(profile, fulls) of :func:`secant_scan`, run on the first call and
+        kept; both arrays are shared by every caller and read-only."""
+        if self._scan is None:
+            profile, fulls = secant_scan(self, ensure_budget(budget), workers=workers)
+            profile.flags.writeable = fulls.flags.writeable = False
+            self._scan = (profile, fulls)
+        return self._scan
+
     def secant_profile(self, budget: Budget | None = None) -> np.ndarray:
         """Histogram over all hyperplanes of the incidence count, length k+1."""
-        if self._profile is None:
-            profile, _ = secant_scan(self, ensure_budget(budget), collect_fulls=False)
-            self._profile = profile
-        return self._profile
+        return self.scan(budget)[0]
 
     def max_secant(self, budget: Budget | None = None) -> int:
         profile = self.secant_profile(budget)
@@ -284,7 +290,7 @@ def arc_make(curve: EllipticCurve, k: int, budget: Budget | None = None) -> Elli
     pts = [phi_k(field, pt, k) for pt in curve.points]
     arc = EllipticArc(curve, k, pts)
     if proj_space_size(field.q, k) * n <= EAGER_VERIFY_LIMIT:
-        arc.secant_profile(budget)  # raises ArcPropertyViolated on any overfull plane
+        arc.scan(budget)  # raises ArcPropertyViolated on any overfull plane
     return arc
 
 
@@ -317,14 +323,14 @@ def _map_ordered(fn, items, workers: int):
             yield pending.popleft().result()
 
 
-def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
-                chunk_rows: int | None = None, workers: int = 1):
+def secant_scan(ps: ProjPointSet, budget: Budget, chunk_rows: int | None = None,
+                workers: int = 1):
     """Incidence counts over every hyperplane of P^{k-1}.
 
     Returns (profile, fulls) where profile[s] counts hyperplanes meeting the
     set in exactly s points and fulls holds the dual coordinates of the
-    k-secant ones (empty array when collect_fulls is false).  Raises
-    ArcPropertyViolated if any hyperplane exceeds k points.
+    k-secant ones.  Raises ArcPropertyViolated if any hyperplane exceeds k
+    points.  The library runs it once per set, from :meth:`ProjPointSet.scan`.
     """
     field, k, n = ps.field, ps.k, ps.n
     space = proj_space_size(field.q, k)
@@ -337,8 +343,7 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
     def work(pair):
         coords, digits = pair
         counts = dot_zero_mask_digits(field, digits, w).sum(axis=1)
-        hit = coords[counts == k] if collect_fulls else None
-        return counts, coords, hit
+        return counts, coords, coords[counts == k]
 
     for counts, coords, hit in _map_ordered(work, chunks, workers):
         top = int(counts.max(initial=0))
@@ -348,7 +353,7 @@ def secant_scan(ps: ProjPointSet, budget: Budget, collect_fulls: bool = True,
                 f"hyperplane {tuple(int(c) for c in bad)} meets the set in {top} > k={k} points"
             )
         profile += np.bincount(counts, minlength=k + 1)[: k + 1]
-        if hit is not None and len(hit):
+        if len(hit):
             fulls.append(hit)
     full_arr = np.vstack(fulls) if fulls else np.empty((0, k), dtype=np.int64)
     return profile, full_arr
@@ -380,15 +385,12 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None,
     """All external points every hyperplane through which meets the set
     in at most k-1 points.
 
-    Enumerates every hyperplane, records the k-secant (full) ones, and
-    excludes the union of full hyperplanes together with the set itself.
-    Results follow the canonical point order.
+    Takes the k-secant (full) hyperplanes from the set's one whole-space
+    scan and excludes their union together with the set itself.  Results
+    follow the canonical point order.
     """
-    budget = ensure_budget(budget)
     field = ps.field
-    profile, fulls = secant_scan(ps, budget, workers=workers)
-    if ps._profile is None:
-        ps._profile = profile
+    _, fulls = ps.scan(budget, workers)
     survivors = []
     for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
         keep = ~np.isin(coords_to_enc(coords, field.q), ps.encs)

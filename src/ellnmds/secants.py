@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import INFINITY, EllipticCurve
-from .errors import InvariantViolated, PointOnCurve
+from .errors import DimensionMismatch, InvariantViolated, PointOnCurve
 from .geometry import coords_to_enc, normalize_coords, normalize_rows
 from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim, rank_gf
 
@@ -483,12 +483,15 @@ class LineSystem:
         Through an affine point: the q non-vertical lines by slope, then the
         vertical.  Through the infinite point of a slope: the q lines of that
         slope, then the line at infinity.  Through (0, 0, 1): the q verticals,
-        then the line at infinity.
+        then the line at infinity.  Rows of another width raise
+        DimensionMismatch.
         """
         field = self.curve.field
         q = self.q
         h1, h0 = np.int64(self.curve._short["h1"]), np.int64(self.curve._short["h0"])
-        planar = np.asarray(planar, dtype=np.int64).reshape(-1, 3)
+        planar = np.asarray(planar, dtype=np.int64)
+        if planar.ndim != 2 or planar.shape[1] != 3:
+            raise DimensionMismatch(f"plane points of shape {planar.shape} need 3 coordinates each")
         out = np.empty((len(planar), q + 1), dtype=np.int64)
         steps = np.arange(q, dtype=np.int64)
         affine = planar[:, 0] == 1
@@ -613,9 +616,9 @@ class TrisecantScan:
         }
 
 
-def min_trisecants(curve: EllipticCurve, system: LineSystem | None = None) -> TrisecantScan:
+def min_trisecants(curve: EllipticCurve) -> TrisecantScan:
     """Minimum trisecant count over all rational points off the curve."""
-    system = system or LineSystem(curve)
+    system = LineSystem(curve)
     counts = system.trisecant_counts()
     mask = system.external_mask()
     external = counts[mask]
@@ -639,14 +642,14 @@ class TangentStats:
     first_missing: tuple | None
 
 
-def tangent_statistics(curve: EllipticCurve, system: LineSystem | None = None) -> TangentStats:
+def tangent_statistics(curve: EllipticCurve) -> TangentStats:
     """Closure tangent counts over every external point of the plane.
 
     Feeds the classical checks: at most six tangent lines through any
     external point, and a non-vertical one through every affine external
     point.
     """
-    system = system or LineSystem(curve)
+    system = LineSystem(curve)
     q = curve.field.q
     ext = system.external_mask()
     max_rat = int(system.tangent_counts()[ext].max())

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from ellnmds import cli
 from ellnmds.cli import main
+from ellnmds.curve import curve_make
+from ellnmds.errors import Budget
+from ellnmds.geometry import proj_space_size
+from ellnmds.gf import field_of_order
 
 
 def run_cli(capsys, *argv):
@@ -181,3 +186,28 @@ def test_invariant_violation_is_reported_as_an_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "InvariantViolated: distance paths disagree" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"),
+    ("oracle", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3", "--h", "1"),
+    ("verify", "--q", "9", "--curve", "0,0,0,1,2", "--k", "3", "--force"),
+])
+def test_each_point_set_is_scanned_once_and_each_code_enumerated_once(capsys, monkeypatch,
+                                                                      argv):
+    charges = []
+
+    class RecordingBudget(Budget):
+        def charge(self, label, estimate):
+            super().charge(label, estimate)
+            charges.append((label, int(estimate)))
+
+    monkeypatch.setattr(cli, "Budget", RecordingBudget)
+    assert run_cli(capsys, *argv)[0] == 0
+    q, k = int(argv[2]), int(argv[6])
+    n = curve_make(field_of_order(q), tuple(int(a) for a in argv[4].split(","))).n
+    scans = [est for label, est in charges if label == "hyperplane_scan"]
+    # the arc's scan once; completion rounds scan sets of n + 1, n + 2, ... points
+    assert scans.count(proj_space_size(q, k) * n) == 1
+    assert len(scans) == len(set(scans))
+    assert [label for label, _ in charges].count("codeword_enumeration") <= 1

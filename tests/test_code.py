@@ -5,6 +5,7 @@ import pytest
 
 from ellnmds.code import (
     LABEL_AMDS,
+    _codeword_weights,
     LABEL_MDS,
     LABEL_NMDS,
     Classification,
@@ -26,7 +27,7 @@ from ellnmds.code import (
     weight_distribution,
 )
 from ellnmds.curve import curve_scan, short_curve
-from ellnmds.errors import KOutOfRange
+from ellnmds.errors import Budget, KOutOfRange
 from ellnmds.geometry import addable_points
 from ellnmds.gf import field_make
 
@@ -267,3 +268,24 @@ def test_matrix_text_roundtrip():
     back = parse_matrix_text(text)
     assert back.rows == code.rows and back.field == code.field
     assert rank_gf(f5, back.rows) == 3
+
+
+def test_a_code_enumerates_its_codewords_once():
+    labels = []
+
+    class RecordingBudget(Budget):
+        def charge(self, label, estimate):
+            super().charge(label, estimate)
+            labels.append(label)
+
+    budget = RecordingBudget(None)
+    code = generator_matrix(short_curve(field_make(7), 0, 5, 1), 3, budget)
+    d = min_distance(code, budget)
+    weights = _codeword_weights(code, budget)
+    h_extendability_oracle(code, 1, budget)
+    weight_distribution(code, budget)
+    assert _codeword_weights(code, budget) is weights
+    assert labels.count("codeword_enumeration") == 1
+    assert int(weights[weights > 0].min()) == d
+    with pytest.raises(ValueError):
+        weights[0] = 0

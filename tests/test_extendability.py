@@ -39,7 +39,7 @@ from ellnmds.geometry import (
     normalize_coords,
     phi_k,
 )
-from ellnmds.gf import field_make, linear_w_matrix
+from ellnmds.gf import field_make, field_of_order, linear_w_matrix
 from ellnmds.secants import line_meet, KIND_TRISECANT
 
 
@@ -454,3 +454,21 @@ def test_witness_rejects_arc_points_and_bad_coordinates():
         ctx.witness((0, 0, 0, 0))
     with pytest.raises(ValueError):
         ctx.witness((1, 2, 3, ctx.field.q))
+
+
+@pytest.mark.parametrize("q", [7, 9, 11, 13])
+def test_coordinate_sections_and_frame_conditions_match_line_meet(q):
+    # reference: exact factorisation of X = 0, Y = 0 and X = Y on every curve
+    for curve in curve_scan(field_of_order(q)):
+        f = curve.field
+        meets = [line_meet(curve, dual) for dual in ((0, 1, 0), (0, 0, 1), (0, 1, f.neg(1)))]
+        sections = tuple(tuple(p for p, _ in m.points if p is not INFINITY) for m in meets)
+        assert extendability._coordinate_sections(curve) == sections
+        (x0, y0, xy), (mx0, my0, mxy) = sections, meets
+        expected = {
+            "xZeroTwoAffineOffOrigin": len(x0) == 2 and (0, 0) not in x0
+            and all(mult == 1 for _, mult in mx0.points),
+            "yZeroThreeAffine": my0.kind == KIND_TRISECANT and len(y0) == 3,
+            "diagonalThreeAffine": mxy.kind == KIND_TRISECANT and len(xy) == 3,
+        }
+        assert frame_conditions(curve) == (all(expected.values()), expected)

@@ -9,6 +9,7 @@ from ellnmds.code import generator_matrix, min_distance
 from ellnmds.errors import (
     ArcPropertyViolated,
     BadIndex,
+    Budget,
     DimensionMismatch,
     InvariantViolated,
     KOutOfRange,
@@ -394,3 +395,21 @@ def test_point_set_rejects_duplicates_and_dimension():
         ProjPointSet(f, 3, [(1, 0, 0, 0)])
     with pytest.raises(DimensionMismatch):
         ps.incident_points((1, 0))
+
+
+def test_a_point_set_scans_once_and_shares_read_only_results():
+    arc = arc_make(short_curve(field_make(7), 0, 5, 1), 3)  # the eager check scans
+    budget = Budget(None)
+    profile, fulls = arc.scan(budget)
+    assert arc.secant_profile(budget) is profile and len(fulls)
+    assert arc.max_secant(budget) == 3 and arc.profile_json(budget)
+    addable_points(arc, budget)
+    assert budget.spent == 0
+    for array in (profile, fulls):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # another point set has a scan of its own
+    part = ProjPointSet(arc.field, 3, arc.points[:-1])
+    part.secant_profile(budget)
+    part.scan(budget)
+    assert budget.spent == proj_space_size(7, 3) * part.n

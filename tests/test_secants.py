@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
-from ellnmds.errors import PointOnCurve
+from ellnmds.errors import DimensionMismatch, PointOnCurve
 from ellnmds.gf import field_make
 from ellnmds.secants import (
     KIND_CHORD,
@@ -147,7 +147,7 @@ def test_min_trisecants_matches_profiles():
     f7 = field_make(7)
     curve = short_curve(f7, 0, 5, 1)
     system = LineSystem(curve)
-    scan = min_trisecants(curve, system)
+    scan = min_trisecants(curve)
     ext = system.external_mask()
     ids = np.flatnonzero(ext)
     brute = []
@@ -166,7 +166,7 @@ def test_min_trisecants_deterministic_across_instances():
     f11 = field_make(11)
     curve = short_curve(f11, 2, 0, 4)
     one = min_trisecants(curve)
-    two = min_trisecants(curve, LineSystem(curve))
+    two = min_trisecants(curve)
     assert one == two
 
 
@@ -224,3 +224,14 @@ def test_lines_through_pencil():
         from ellnmds.geometry import incidence
 
         assert all(incidence(f7, d, pt) for d in pencil)
+
+
+def test_pencils_reject_rows_of_the_wrong_width():
+    curve = short_curve(field_make(13), 0, 2, 5)
+    system = LineSystem(curve)
+    with pytest.raises(DimensionMismatch):
+        system.pencils([(1, 2, 3, 1, 4, 5)])
+    with pytest.raises(DimensionMismatch):
+        system.pencils([1, 2, 3])
+    assert system.pencils([(1, 2, 3)]).shape == (1, 14)
+    assert system.pencils(np.empty((0, 3), dtype=np.int64)).shape == (0, 14)

@@ -74,3 +74,9 @@ def test_normalize_coords_is_never_called_per_point():
     # one-row normalize_coords is for single points only
     assert _calls("normalize_coords")
     assert [where for where, _, in_loop in _calls("normalize_coords") if in_loop] == []
+
+
+def test_secant_scan_has_one_library_caller():
+    # a point set runs its whole-space scan once, in ProjPointSet.scan, and
+    # profiles, full hyperplanes and addable points all read the kept result
+    assert [func for _, func, _ in _calls("secant_scan")] == ["scan"]
