@@ -174,6 +174,7 @@ def cmd_arc(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
     arc = arc_make(curve, args.k, budget)
+    profile = arc.profile_json(budget)  # before completion, which then reads the kept scan
     addable = []
     result = complete_arc(arc, max_add=args.max_add if args.complete else 0, budget=budget,
                           workers=args.workers, on_first=addable.extend)
@@ -182,7 +183,7 @@ def cmd_arc(args) -> int:
         "curve": curve.to_json_dict(include_points=False),
         "k": args.k,
         "n": arc.n,
-        "secantProfile": arc.profile_json(budget),
+        "secantProfile": profile,
         "addable": [list(p) for p in addable],
         "complete": not addable,
     }

@@ -42,7 +42,6 @@ from .geometry import (
     coords_to_enc,
     normalize_points,
     normalize_rows,
-    proj_space_size,
 )
 from .gf import dot_zero_mask
 from .secants import LineSystem, zero_j_hypotheses
@@ -643,9 +642,8 @@ def _verify_k5(curve, budget, report, seed, sample, force, workers):
     if report.witness_failures:
         report.verdict = VERDICT_VIOLATION
         report.notes.append(f"{len(report.witness_failures)} sampled non-candidates lack witnesses")
-    # the optional whole-space scan, only when the budget allows it
+    # the optional whole-space check, only when the budget allows its charge
     try:
-        budget.check("optional_full_scan", proj_space_size(field.q, 5) * arc.n)
         full = addable_points(arc, budget, workers=workers)
         if sorted(full) != sorted(report.addable):
             report.verdict = VERDICT_VIOLATION

@@ -221,6 +221,7 @@ class ProjPointSet:
         self.points = tuple(map(tuple, self.coords.tolist()))
         self._w = None
         self._scan = None
+        self._fulls = None
         self.arc = arc  # the elliptic arc whose points lead this set, if any
 
     @property
@@ -255,6 +256,23 @@ class ProjPointSet:
             profile.flags.writeable = fulls.flags.writeable = False
             self._scan = (profile, fulls)
         return self._scan
+
+    def fulls(self, budget: Budget | None = None, workers: int = 1) -> np.ndarray:
+        """Dual coordinates of the full (k-secant) hyperplanes, read-only.
+
+        The kept scan's when there is one.  Otherwise a set led by an elliptic
+        arc runs :func:`full_hyperplanes_via_subsets` once and keeps it, charged
+        as ``hyperplane_scan`` at the estimate of the scan it replaces (which
+        overstates the walk), so spend and refusals do not depend on the route.
+        """
+        if self._scan is not None or self.arc is None:
+            return self.scan(budget, workers)[1]
+        if self._fulls is None:
+            ensure_budget(budget).charge("hyperplane_scan",
+                                         proj_space_size(self.field.q, self.k) * self.n)
+            self._fulls = full_hyperplanes_via_subsets(self)
+            self._fulls.flags.writeable = False
+        return self._fulls
 
     def secant_profile(self, budget: Budget | None = None) -> np.ndarray:
         """Histogram over all hyperplanes of the incidence count, length k+1."""
@@ -385,12 +403,13 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None,
     """All external points every hyperplane through which meets the set
     in at most k-1 points.
 
-    Takes the k-secant (full) hyperplanes from the set's one whole-space
-    scan and excludes their union together with the set itself.  Results
-    follow the canonical point order.
+    Takes the k-secant (full) hyperplanes from :meth:`ProjPointSet.fulls`
+    (the group-law walk on a set led by an arc without a kept scan, else the
+    set's one whole-space scan) and excludes their union together with the
+    set itself.  Results follow the canonical point order.
     """
     field = ps.field
-    _, fulls = ps.scan(budget, workers)
+    fulls = ps.fulls(budget, workers)
     survivors = []
     for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
         keep = ~np.isin(coords_to_enc(coords, field.q), ps.encs)
@@ -458,7 +477,7 @@ def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
     return duals
 
 
-def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None) -> np.ndarray:
+def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     """Dual coordinates of every k-secant (full) hyperplane, in encoding order.
 
     Let A be the points of the elliptic arc that leads the set (``ps.arc``;
@@ -479,13 +498,11 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet, budget: Budget | None = None)
     the set in exactly its k predicted points, or ArcPropertyViolated (more
     than k) or InvariantViolated is raised.  Memory: the group sums of the
     C(n_A, k-2) subsets (int32), plus windows of ``scan_chunk_rows`` subsets.
-    The budget charge keeps the (k-1)-subset span estimate, which overstates
-    this work.
+    Callers charge the budget: :func:`addable_filter` and
+    :meth:`ProjPointSet.fulls`.
     """
-    budget = ensure_budget(budget)
     field, k, n = ps.field, ps.k, ps.n
     m = k - 1
-    budget.charge("subset_span_scan", math.comb(n, m) * (n + k * m * m))
     n_arc = ps.arc.n if ps.arc is not None else 0
     if n_arc:
         add, neg = ps.arc.curve.addition_table, ps.arc.curve.negation
@@ -543,17 +560,19 @@ def addable_filter(ps: ProjPointSet, candidates,
     Full hyperplanes come from :func:`full_hyperplanes_via_subsets`, not from
     a scan of the whole space: on an arc, a walk of the C(n, k-2) subsets of
     k-2 points with one dual per full hyperplane, plus about C(n, k-2) spans
-    per point added after the arc.
+    per point added after the arc.  The charge keeps the (k-1)-subset span
+    estimate, which overstates this work.
     """
     budget = ensure_budget(budget)
-    field = ps.field
-    cand = normalize_points(field, ps.k, candidates)
+    field, k, n = ps.field, ps.k, ps.n
+    cand = normalize_points(field, k, candidates)
     if len(cand) == 0:
         return []
     encs = coords_to_enc(cand, field.q)
     order = np.argsort(encs, kind="stable")
     cand = cand[order[~np.isin(encs[order], ps.encs)]]
-    fulls = full_hyperplanes_via_subsets(ps, budget)
+    budget.charge("subset_span_scan", math.comb(n, k - 1) * (n + k * (k - 1) ** 2))
+    fulls = full_hyperplanes_via_subsets(ps)
     survivors = filter_by_fulls(field, cand, rows_digits(field, cand), fulls)
     return list(map(tuple, survivors.tolist()))
 
@@ -626,7 +645,8 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
     With ``candidates`` given, each round restricts the search to the still
     unused candidates; adding a point only shrinks the addable set, so this
     stays exact when the initial candidate list covers every addable point.
-    ``workers`` is passed to the whole-space scans of :func:`addable_points`.
+    ``workers`` reaches only real whole-space scans in :func:`addable_points`;
+    the group-law walk on a set led by an arc runs on one thread.
     ``on_first`` is called with the addable points of ``ps`` itself before
     any point is added, so a caller keeps them even when a later round
     exceeds the budget.

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from ellnmds import cli
+from ellnmds import cli, geometry
 from ellnmds.cli import main
 from ellnmds.curve import curve_make
 from ellnmds.errors import Budget
 from ellnmds.geometry import proj_space_size
 from ellnmds.gf import field_of_order
+from test_cli_goldens import _load_goldens, run_normalized
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +212,43 @@ def test_each_point_set_is_scanned_once_and_each_code_enumerated_once(capsys, mo
     assert scans.count(proj_space_size(q, k) * n) == 1
     assert len(scans) == len(set(scans))
     assert [label for label, _ in charges].count("codeword_enumeration") <= 1
+
+
+@pytest.mark.parametrize("argv, scans", [
+    (["arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"], 1),
+    (["verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force"], 0),
+    (["verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force",
+      "--budget", "100000"], 0),
+])
+def test_a_non_eager_arc_reports_its_golden(monkeypatch, argv, scans):
+    # without the build-time check, the arc command scans the arc once for its
+    # profile and its first completion round reads that scan; every other
+    # round, and every round of a k = 4 verdict, walks the group law instead,
+    # charged at the scan's estimate
+    calls = []
+    scan = geometry.secant_scan
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "EAGER_VERIFY_LIMIT", 0)
+    monkeypatch.setattr(geometry, "secant_scan", counting)
+    golden = _load_goldens()[" ".join(argv)]
+    assert run_normalized(argv, None) == (golden["exit"], golden["stdout"])
+    assert len(calls) == scans
+
+
+def test_optional_k5_scan_runs_on_exactly_the_unrestricted_spend():
+    # the arc's kept scan serves the optional whole-space check for free, so a
+    # budget equal to the unrestricted spend still runs it
+    argv = ["verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force",
+            "--sample", "200"]
+    golden = _load_goldens()[" ".join(argv)]
+    want = json.loads(golden["stdout"])
+    code, stdout = run_normalized(argv + ["--budget", str(want["budgetSpent"])], None)
+    doc = json.loads(stdout)
+    assert code == golden["exit"] and "full ambient scan ran" in doc["notes"]
+    assert doc["config"].pop("budget") == want["budgetSpent"]
+    want["config"].pop("budget")
+    assert doc == want

@@ -413,3 +413,45 @@ def test_a_point_set_scans_once_and_shares_read_only_results():
     part.secant_profile(budget)
     part.scan(budget)
     assert budget.spent == proj_space_size(7, 3) * part.n
+
+
+def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
+    # the scan route, on plain copies of each arc and its extensions by one
+    # and two greedy points, is the reference for the group-law route
+    chains = []
+    for q in (5, 7, 9, 11, 13):
+        field = field_of_order(q)
+        for curve in [c for c in curve_scan(field) if c.n >= 8][:2]:
+            for k in (3, 4, 5):
+                ps, chain = arc_make(curve, k), []
+                while len(chain) < 3:
+                    want = addable_points(ProjPointSet(field, k, ps.points))
+                    chain.append(want)
+                    if not want:
+                        break
+                    ps = ps.with_point(want[0])
+                chains.append((curve, k, chain))
+    assert sum(len(chain) == 3 for _, _, chain in chains) >= 10
+
+    class RecordingBudget(Budget):
+        def charge(self, label, estimate):
+            super().charge(label, estimate)
+            charges.append((label, int(estimate)))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("secant_scan ran on an arc-led set")
+
+    monkeypatch.setattr(geometry, "EAGER_VERIFY_LIMIT", 0)
+    monkeypatch.setattr(geometry, "secant_scan", no_scan)
+    for curve, k, chain in chains:
+        ps = arc_make(curve, k)
+        for want in chain:
+            charges = []
+            budget = RecordingBudget(None)
+            assert addable_points(ps, budget) == want
+            assert addable_points(ps, budget) == want
+            assert charges == [("hyperplane_scan", proj_space_size(curve.field.q, k) * ps.n)]
+            with pytest.raises(ValueError):
+                ps.fulls()[0] = 0
+            if want:
+                ps = ps.with_point(want[0])
