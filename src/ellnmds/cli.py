@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -43,7 +42,7 @@ def _parse_curve(text: str) -> tuple[int, ...]:
 
 
 def _config_echo(args, command: str) -> dict:
-    keys = ("q", "r", "curve", "k", "h", "budget", "seed", "sample", "workers", "force")
+    keys = ("q", "r", "curve", "k", "h", "budget", "seed", "sample", "force")
     cfg = {"command": command}
     for key in keys:
         cfg[key] = getattr(args, key, None)
@@ -114,15 +113,14 @@ def cmd_curve_scan(args) -> int:
 
 def cmd_build(args) -> int:
     field, curve = _field_and_curve(args)
-    budget = _budget(args)
-    code = generator_matrix(curve, args.k, budget)
+    code = generator_matrix(curve, args.k)
     payload = {
         "field": field.descriptor(),
         "curve": curve.to_json_dict(include_points=False),
         "k": args.k,
         "generator": [list(r) for r in code.rows],
     }
-    _emit(args, payload, budget, [f"[{code.n},{code.k}] generator built"])
+    _emit(args, payload, None, [f"[{code.n},{code.k}] generator built"])
     return EXIT_OK
 
 
@@ -135,7 +133,7 @@ def cmd_classify(args) -> int:
         curve_doc = None
     else:
         field, curve = _field_and_curve(args)
-        code = generator_matrix(curve, args.k, budget)
+        code = generator_matrix(curve, args.k)
         curve_doc = curve.to_json_dict(include_points=False)
     result = classify(code, budget)
     payload = {"field": field.descriptor(), "curve": curve_doc}
@@ -173,11 +171,11 @@ def cmd_trisecants(args) -> int:
 def cmd_arc(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
-    arc = arc_make(curve, args.k, budget)
-    profile = arc.profile_json(budget)  # before completion, which then reads the kept scan
+    arc = arc_make(curve, args.k)
+    profile = {str(s): int(c) for s, c in enumerate(arc.secant_profile(budget))}
     addable = []
     result = complete_arc(arc, max_add=args.max_add if args.complete else 0, budget=budget,
-                          workers=args.workers, on_first=addable.extend)
+                          on_first=addable.extend)
     payload = {
         "field": field.descriptor(),
         "curve": curve.to_json_dict(include_points=False),
@@ -200,7 +198,7 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     verifier = verify_zero_j_theorem if args.theorem == "j0" else verify_main_theorem
     report = verifier(curve, args.k, budget, seed=args.seed, sample=args.sample,
-                      force=args.force, workers=args.workers)
+                      force=args.force)
     payload = {"field": field.descriptor()}
     payload.update(report.to_json_dict())
     _emit(args, payload, budget,
@@ -215,7 +213,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
-    code = generator_matrix(curve, args.k, budget)
+    code = generator_matrix(curve, args.k)
     extendable = h_extendability_oracle(code, args.h, budget,
                                         prefilter=not args.naive)
     payload = {
@@ -227,7 +225,7 @@ def cmd_oracle(args) -> int:
         "extendable": extendable,
     }
     if args.h == 1:
-        addable = addable_points(code.arc, budget, workers=args.workers)
+        addable = addable_points(code.arc, budget)
         payload["arcDecision"] = bool(addable)
         payload["pathsAgree"] = payload["arcDecision"] == extendable
     _emit(args, payload, budget, [f"h={args.h} extendable: {extendable}"])
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=True, k=False, budget=True, workers=False):
+    def common(p, curve=True, k=False, budget=True):
         p.add_argument("--q", type=int, required=True, help="field order")
         p.add_argument("--r", type=int, default=None,
                        help="expected extension degree (consistency check)")
@@ -256,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LIMIT,
                            help="element-multiplication cap for scans")
-        if workers:
-            p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("nq1", help="largest elliptic point count over F_q")
     p.add_argument("--q", type=int, required=True)
@@ -291,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trisecants)
 
     p = sub.add_parser("arc", help="embedded point set report")
-    common(p, k=True, workers=True)
+    common(p, k=True)
     p.add_argument("--complete", action="store_true", help="run greedy completion")
     p.add_argument("--max-add", type=int, default=4)
     p.set_defaults(fn=cmd_arc)
 
     p = sub.add_parser("verify", help="extendability verdict for one curve")
-    common(p, k=True, workers=True)
+    common(p, k=True)
     p.add_argument("--theorem", choices=("main", "j0"), default="main")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None)
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force h-extendability")
-    common(p, k=True, workers=True)
+    common(p, k=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--naive", action="store_true",
                    help="flat tuple search instead of the chain search")

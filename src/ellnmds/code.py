@@ -2,9 +2,9 @@
 
 Parameters [n, k, d], dual distance, Singleton defects and the
 MDS / NMDS / AMDS classification.  Codes built from curve embeddings keep a
-reference to their arc, which enables a second, geometric route to the
-minimum distance (n minus the largest hyperplane incidence count); whenever
-both routes run they are compared and a mismatch is a hard error.
+reference to their arc, whose group law fixes the hyperplane sections and so,
+independently, the weights (n minus a codeword's section); whenever both routes
+run their section histograms are compared and a mismatch is a hard error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import EllipticCurve
-from .errors import Budget, BudgetExceeded, InvariantViolated, ensure_budget
+from .errors import ArcPropertyViolated, Budget, BudgetExceeded, InvariantViolated, ensure_budget
 from .gf import (  # noqa: F401  (parity_check is re-exported)
     Field,
     dot_zero_mask,
@@ -87,8 +87,8 @@ def parse_matrix_text(text: str) -> LinearCode:
 
 
 def generator_matrix(curve: EllipticCurve, k: int, budget: Budget | None = None) -> LinearCode:
-    """Code spanned by the rows of the k x n matrix of embedded curve points."""
-    arc = arc_make(curve, k, budget)
+    """Code spanned by the embedded curve points; ``budget`` is ignored, kept for callers."""
+    arc = arc_make(curve, k)
     cols = arc.coords  # (n, k), curve point order with the infinite image last
     rows = cols.T.tolist()
     return LinearCode(curve.field, rows, arc=arc)
@@ -112,26 +112,30 @@ def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
 def min_distance(code: LinearCode, budget: Budget | None = None) -> int:
     """Exact minimum Hamming weight over nonzero codewords.
 
-    Codes carrying an arc are computed geometrically (n minus the largest
-    hyperplane incidence count) and cross-checked against direct codeword
-    enumeration whenever the budget allows the second pass; a disagreement
-    raises immediately.
+    An arc code takes it from the group-law section profile (n minus the largest
+    section) and, when the budget allows, checks the codewords' sections,
+    ``bincount(n - weights)``, against the whole profile: a section above k
+    raises ArcPropertyViolated, any other mismatch InvariantViolated.
     """
     if code._d is not None:
         return code._d
     budget = ensure_budget(budget)
-    d_geo = None if code.arc is None else code.n - code.arc.max_secant(budget)
+    profile = None if code.arc is None else code.arc.secant_profile(budget)
     try:
         weights = _codeword_weights(code, budget)
     except BudgetExceeded:
-        if d_geo is None:
+        if profile is None:
             raise
-        weights = None  # refused before any work; the incidence path stands alone
+        weights = None  # refused before any work; the group-law path stands alone
     d_cw = None if weights is None else int(weights[weights > 0].min())
-    if None not in (d_cw, d_geo) and d_cw != d_geo:
-        raise InvariantViolated(
-            f"distance paths disagree: codewords give {d_cw}, incidences give {d_geo}"
-        )
+    d_geo = None if profile is None else code.n - int(np.flatnonzero(profile)[-1])
+    if profile is not None and weights is not None:
+        sections = np.bincount(code.n - weights, minlength=len(profile))
+        if len(sections) > len(profile):
+            raise ArcPropertyViolated(f"a hyperplane holds {len(sections) - 1} > k arc points")
+        if not np.array_equal(sections, profile):
+            raise InvariantViolated(f"distance paths disagree: codeword sections "
+                                    f"{sections.tolist()}, group-law sections {profile.tolist()}")
     code._d = d_geo if d_geo is not None else d_cw
     code._d_paths = {"codewords": d_cw, "secants": d_geo}
     return code._d

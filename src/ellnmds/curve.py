@@ -218,6 +218,30 @@ class EllipticCurve:
         """(n,) int32 index of -points[i], read off the addition table."""
         return self._group()[1]
 
+    def zero_sum_counts(self, kmax: int) -> tuple[int, ...]:
+        """Exact Z_0..Z_kmax, Z_j the j-subsets of the points summing to O, by Li and
+        Wan (JCTA 2012): Z_j = (1/n) sum over d | j of N_d C(n/d, j/d) e_d^(j/d), with
+        N_d the points of order exactly d and e_d = -1 for even d, +1 for odd d."""
+        hit = self._np_cache.get("zero_sums")
+        if hit is not None and len(hit) > kmax:
+            return hit[: kmax + 1]
+        n = self.n
+        multiple, order = np.arange(n), np.zeros(n, dtype=np.int64)
+        for d in range(1, kmax + 1):  # order: the least d <= kmax with d * P = O, else 0
+            order[(multiple == n - 1) & (order == 0)] = d
+            multiple = self.addition_table[multiple, np.arange(n)]
+        of_order = np.bincount(order, minlength=kmax + 1).tolist()
+        counts = [1]
+        for j in range(1, kmax + 1):
+            terms = (of_order[d] * math.comb(n // d, j // d) * (-1) ** (j // d * (1 - d % 2))
+                     for d in range(1, j + 1) if j % d == 0 and of_order[d])
+            z, rest = divmod(sum(terms), n)
+            if rest:
+                raise InvariantViolated(f"the count of zero-sum {j}-subsets is not integral")
+            counts.append(z)
+        self._np_cache["zero_sums"] = tuple(counts)
+        return tuple(counts)
+
     def _group(self) -> tuple[np.ndarray, np.ndarray]:
         hit = self._np_cache.get("group")
         if hit is None:

@@ -522,7 +522,7 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
 
     k=3 and k=4 run full addable scans; k=5 tests the candidate family
     exactly and samples witness hyperplanes for non-candidates; k=6 samples
-    witness hyperplanes across the ambient space.
+    witness hyperplanes across the ambient space.  ``workers`` is ignored.
     """
     if k not in (3, 4, 5, 6):
         raise ValueError("the verified claims concern k in {3, 4, 5, 6}")
@@ -542,13 +542,13 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
         report.notes.append("OUT_OF_HYPOTHESIS")
     try:
         if k == 3:
-            _verify_k3(curve, budget, report, workers)
+            _verify_k3(curve, budget, report)
         elif k == 4:
-            _verify_k4(curve, budget, report, workers)
+            _verify_k4(curve, budget, report)
         elif k == 5:
-            _verify_k5(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K5, force, workers)
+            _verify_k5(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K5, force)
         else:
-            _verify_k6(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K6, force, workers)
+            _verify_k6(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K6, force)
     except BudgetExceeded as exc:
         report.verdict = VERDICT_BUDGET_PARTIAL
         report.notes.append(f"budget: {exc}")
@@ -556,9 +556,8 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
     return report
 
 
-def _verify_k3(curve, budget, report, workers=1):
-    arc = arc_make(curve, 3, budget)
-    addable = addable_points(arc, budget, workers=workers)
+def _verify_k3(curve, budget, report):
+    addable = addable_points(arc_make(curve, 3), budget)
     report.addable = addable
     report.complete = not addable
     if addable:
@@ -566,7 +565,7 @@ def _verify_k3(curve, budget, report, workers=1):
         report.notes.append(f"{len(addable)} addable points found, expected none")
 
 
-def _verify_k4(curve, budget, report, workers=1):
+def _verify_k4(curve, budget, report):
     def first_round(addable):
         report.addable = addable
         off_line = [p for p in addable if not (p[0] == 0 and p[1] == 0)]
@@ -574,8 +573,7 @@ def _verify_k4(curve, budget, report, workers=1):
             report.verdict = VERDICT_VIOLATION
             report.notes.append(f"addable point off the fundamental line: {off_line[0]}")
 
-    result = complete_arc(arc_make(curve, 4, budget), 3, budget, workers=workers,
-                          on_first=first_round)
+    result = complete_arc(arc_make(curve, 4), 3, budget, on_first=first_round)
     added, complete = result.added, result.complete
     report.completion_added = added
     report.complete = complete
@@ -586,25 +584,25 @@ def _verify_k4(curve, budget, report, workers=1):
         )
 
 
-def _framed_arc(curve, k, budget, report, force, workers):
+def _framed_arc(curve, k, budget, report, force):
     """Arc of the frame-normalized curve, or (None, None) after recording a
     full addable scan of the original curve when no frame exists."""
     try:
         framed, frame = choose_frame(curve, force=force)
     except NoFrameFound:
         report.notes.append("no frame found; falling back to a full addable scan")
-        addable = addable_points(arc_make(curve, k, budget), budget, workers=workers)
+        addable = addable_points(arc_make(curve, k), budget)
         report.addable = addable
         report.complete = not addable
         if addable:
             report.verdict = VERDICT_VIOLATION
         return None, None
     report.frame = {**frame.to_json_dict(), "coeffs": list(framed.coeffs)}
-    return arc_make(framed, k, budget), framed
+    return arc_make(framed, k), framed
 
 
-def _verify_k5(curve, budget, report, seed, sample, force, workers):
-    arc, framed = _framed_arc(curve, 5, budget, report, force, workers)
+def _verify_k5(curve, budget, report, seed, sample, force):
+    arc, framed = _framed_arc(curve, 5, budget, report, force)
     if arc is None:
         return
     ctx = WitnessContext(arc)
@@ -644,7 +642,7 @@ def _verify_k5(curve, budget, report, seed, sample, force, workers):
         report.notes.append(f"{len(report.witness_failures)} sampled non-candidates lack witnesses")
     # the optional whole-space check, only when the budget allows its charge
     try:
-        full = addable_points(arc, budget, workers=workers)
+        full = addable_points(arc, budget)
         if sorted(full) != sorted(report.addable):
             report.verdict = VERDICT_VIOLATION
             report.notes.append("full scan disagrees with the candidate-restricted scan")
@@ -653,8 +651,8 @@ def _verify_k5(curve, budget, report, seed, sample, force, workers):
         report.notes.append("optional full ambient scan skipped (budget)")
 
 
-def _verify_k6(curve, budget, report, seed, sample, force, workers):
-    arc, _ = _framed_arc(curve, 6, budget, report, force, workers)
+def _verify_k6(curve, budget, report, seed, sample, force):
+    arc, _ = _framed_arc(curve, 6, budget, report, force)
     if arc is None:
         return
     _sample_witnesses(WitnessContext(arc), seed, sample, arc.encs, budget, report)
@@ -666,7 +664,7 @@ def _verify_k6(curve, budget, report, seed, sample, force, workers):
 
 def verify_zero_j_theorem(curve: EllipticCurve, k: int, budget: Budget | None = None,
                           seed: int = 0, sample: int | None = None,
-                          force: bool = False, workers: int = 1) -> VerdictReport:
+                          force: bool = False) -> VerdictReport:
     """Same program under the zero-j hypothesis gate.
 
     The gate needs q > 9887, so at scan scales it never opens; a forced run
@@ -677,8 +675,7 @@ def verify_zero_j_theorem(curve: EllipticCurve, k: int, budget: Budget | None = 
             "zero-j gate: needs p > 3, q > 9887, j = 0, even point count, "
             "and an even extension degree or p = 1 mod 3"
         )
-    report = verify_main_theorem(curve, k, budget, seed=seed, sample=sample, force=True,
-                                 workers=workers)
+    report = verify_main_theorem(curve, k, budget, seed=seed, sample=sample, force=True)
     report.theorem = "j0"
     if not zero_j_hypotheses(curve):
         report.out_of_hypothesis = True

@@ -6,16 +6,15 @@ walks normalized tuples in increasing big-endian value sum(c_i * q^(k-1-i)),
 so (0,...,0,1) always comes first; all scans, reports and greedy choices
 follow that order.
 
-The heavy operations (secant profiles, addable-point scans) run on a digit
-level matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
+An elliptic arc takes its section profile and full hyperplanes from the group
+law; the scans of other sets and the addable-point filter run on a digit level
+matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ from .gf import (
     rows_digits,
 )
 
-EAGER_VERIFY_LIMIT = 20_000_000  # incidence tests; arc property checked at build below this
 _CHUNK_FLOATS = 24_000_000       # working-set bound for scan chunks
 _FULLS_START_BATCH = 32          # hyperplanes in filter_by_fulls' first batch
 _FULLS_MAX_BATCH = 4096          # ... and its largest, after doubling
@@ -220,6 +218,7 @@ class ProjPointSet:
             raise ValueError("points must be distinct")
         self.points = tuple(map(tuple, self.coords.tolist()))
         self._w = None
+        self._charged = False
         self._scan = None
         self._fulls = None
         self.arc = arc  # the elliptic arc whose points lead this set, if any
@@ -248,43 +247,34 @@ class ProjPointSet:
         mask = dot_zero_mask(self.field, h, self.w_matrix)[0]
         return [self.points[i] for i in np.flatnonzero(mask)]
 
-    def scan(self, budget: Budget | None = None, workers: int = 1):
+    def _charge_scan(self, budget: Budget | None) -> None:
+        """Charge ``hyperplane_scan`` at the scan's estimate once per set, whichever of the
+        scan, the group-law profile or walk runs first: spend does not depend on the route."""
+        if not self._charged:
+            ensure_budget(budget).charge("hyperplane_scan",
+                                         proj_space_size(self.field.q, self.k) * self.n)
+            self._charged = True
+
+    def scan(self, budget: Budget | None = None):
         """(profile, fulls) of :func:`secant_scan`, run on the first call and
         kept; both arrays are shared by every caller and read-only."""
         if self._scan is None:
-            profile, fulls = secant_scan(self, ensure_budget(budget), workers=workers)
+            self._charge_scan(budget)
+            profile, fulls = secant_scan(self)
             profile.flags.writeable = fulls.flags.writeable = False
             self._scan = (profile, fulls)
         return self._scan
 
-    def fulls(self, budget: Budget | None = None, workers: int = 1) -> np.ndarray:
-        """Dual coordinates of the full (k-secant) hyperplanes, read-only.
-
-        The kept scan's when there is one.  Otherwise a set led by an elliptic
-        arc runs :func:`full_hyperplanes_via_subsets` once and keeps it, charged
-        as ``hyperplane_scan`` at the estimate of the scan it replaces (which
-        overstates the walk), so spend and refusals do not depend on the route.
-        """
-        if self._scan is not None or self.arc is None:
-            return self.scan(budget, workers)[1]
+    def fulls(self, budget: Budget | None = None) -> np.ndarray:
+        """Dual coordinates of the full (k-secant) hyperplanes, read-only: kept from one
+        :func:`full_hyperplanes_via_subsets` on a set led by an arc, else the set's scan's."""
+        if self.arc is None:
+            return self.scan(budget)[1]
         if self._fulls is None:
-            ensure_budget(budget).charge("hyperplane_scan",
-                                         proj_space_size(self.field.q, self.k) * self.n)
+            self._charge_scan(budget)
             self._fulls = full_hyperplanes_via_subsets(self)
             self._fulls.flags.writeable = False
         return self._fulls
-
-    def secant_profile(self, budget: Budget | None = None) -> np.ndarray:
-        """Histogram over all hyperplanes of the incidence count, length k+1."""
-        return self.scan(budget)[0]
-
-    def max_secant(self, budget: Budget | None = None) -> int:
-        profile = self.secant_profile(budget)
-        return int(np.flatnonzero(profile)[-1])
-
-    def profile_json(self, budget: Budget | None = None) -> dict:
-        profile = self.secant_profile(budget)
-        return {str(i): int(c) for i, c in enumerate(profile)}
 
 
 class EllipticArc(ProjPointSet):
@@ -293,23 +283,33 @@ class EllipticArc(ProjPointSet):
     def __init__(self, curve: EllipticCurve, k: int, points):
         super().__init__(curve.field, k, points, arc=self)
         self.curve = curve
+        self._profile = None
+
+    def secant_profile(self, budget: Budget | None = None) -> np.ndarray:
+        """Histogram over all hyperplanes of the incidence count, length k+1, kept
+        read-only.  By Riemann-Roch no hyperplane holds k+1 arc points, and M_j = sum
+        over H of C(|H & A|, j) is C(n, j) theta_{k-1-j} for j < k (theta_m =
+        ``proj_space_size(q, m + 1)``) and Z_k, the zero-sum k-subsets, for j = k; so
+        profile[s] = sum_{j=s..k} (-1)^(j-s) C(j, s) M_j."""
+        if self._profile is None:
+            self._charge_scan(budget)
+            n, k = self.n, self.k
+            moments = [math.comb(n, j) * proj_space_size(self.field.q, k - j) for j in range(k)]
+            moments.append(self.curve.zero_sum_counts(k)[k])
+            self._profile = np.array(
+                [sum((-1) ** (j - s) * math.comb(j, s) * moments[j] for j in range(s, k + 1))
+                 for s in range(k + 1)], dtype=np.int64)
+            self._profile.flags.writeable = False
+        return self._profile
 
 
 def arc_make(curve: EllipticCurve, k: int, budget: Budget | None = None) -> EllipticArc:
-    """Embed the curve's point list; verifies the no-(k+1)-coplanar property.
-
-    Verification is immediate while #hyperplanes * n stays small and is
-    otherwise deferred to the first full scan, which asserts it for free.
-    """
+    """Embed the curve's point list (``budget`` is ignored, kept for callers); codeword
+    enumeration and the group-law walk check the no-(k+1)-coplanar property."""
     n = curve.n
     if not 3 <= k <= n - 1:
         raise KOutOfRange(f"k={k} outside [3, {n - 1}] for a curve with {n} points")
-    field = curve.field
-    pts = [phi_k(field, pt, k) for pt in curve.points]
-    arc = EllipticArc(curve, k, pts)
-    if proj_space_size(field.q, k) * n <= EAGER_VERIFY_LIMIT:
-        arc.scan(budget)  # raises ArcPropertyViolated on any overfull plane
-    return arc
+    return EllipticArc(curve, k, [phi_k(curve.field, pt, k) for pt in curve.points])
 
 
 # ---- scanning engines ------------------------------------------------------
@@ -320,50 +320,20 @@ def scan_chunk_rows(field: Field, n: int) -> int:
     return max(4096, _CHUNK_FLOATS // max(1, n * field.r))
 
 
-def _map_ordered(fn, items, workers: int):
-    """Apply fn over items, optionally on worker threads, preserving order.
-
-    The heavy work inside fn is BLAS matmul, which releases the GIL, so
-    threads give real concurrency; results merge in submission order to keep
-    every downstream choice deterministic regardless of worker count.
-    """
-    if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            while len(pending) > workers + 1:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def secant_scan(ps: ProjPointSet, budget: Budget, chunk_rows: int | None = None,
-                workers: int = 1):
+def secant_scan(ps: ProjPointSet, chunk_rows: int | None = None):
     """Incidence counts over every hyperplane of P^{k-1}.
 
     Returns (profile, fulls) where profile[s] counts hyperplanes meeting the
     set in exactly s points and fulls holds the dual coordinates of the
     k-secant ones.  Raises ArcPropertyViolated if any hyperplane exceeds k
-    points.  The library runs it once per set, from :meth:`ProjPointSet.scan`.
+    points.  The library runs it once per set not led by an arc, in ``ps.scan``.
     """
     field, k, n = ps.field, ps.k, ps.n
-    space = proj_space_size(field.q, k)
-    budget.charge("hyperplane_scan", space * n)
     profile = np.zeros(k + 1, dtype=np.int64)
     fulls = []
     w = ps.w_matrix
-    chunks = proj_chunks(field, k, chunk_rows or scan_chunk_rows(field, n))
-
-    def work(pair):
-        coords, digits = pair
+    for coords, digits in proj_chunks(field, k, chunk_rows or scan_chunk_rows(field, n)):
         counts = dot_zero_mask_digits(field, digits, w).sum(axis=1)
-        return counts, coords, coords[counts == k]
-
-    for counts, coords, hit in _map_ordered(work, chunks, workers):
         top = int(counts.max(initial=0))
         if top > k:
             bad = coords[int(np.argmax(counts))]
@@ -371,10 +341,8 @@ def secant_scan(ps: ProjPointSet, budget: Budget, chunk_rows: int | None = None,
                 f"hyperplane {tuple(int(c) for c in bad)} meets the set in {top} > k={k} points"
             )
         profile += np.bincount(counts, minlength=k + 1)[: k + 1]
-        if len(hit):
-            fulls.append(hit)
-    full_arr = np.vstack(fulls) if fulls else np.empty((0, k), dtype=np.int64)
-    return profile, full_arr
+        fulls.append(coords[counts == k])
+    return profile, np.vstack(fulls)
 
 
 def filter_by_fulls(field: Field, cand: np.ndarray, digits: np.ndarray,
@@ -398,18 +366,17 @@ def filter_by_fulls(field: Field, cand: np.ndarray, digits: np.ndarray,
     return cand
 
 
-def addable_points(ps: ProjPointSet, budget: Budget | None = None,
-                   workers: int = 1) -> list[tuple[int, ...]]:
+def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple[int, ...]]:
     """All external points every hyperplane through which meets the set
     in at most k-1 points.
 
     Takes the k-secant (full) hyperplanes from :meth:`ProjPointSet.fulls`
-    (the group-law walk on a set led by an arc without a kept scan, else the
-    set's one whole-space scan) and excludes their union together with the
-    set itself.  Results follow the canonical point order.
+    (the group-law walk on a set led by an arc, else the set's one
+    whole-space scan) and excludes their union together with the set itself.
+    Results follow the canonical point order.
     """
     field = ps.field
-    fulls = ps.fulls(budget, workers)
+    fulls = ps.fulls(budget)
     survivors = []
     for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
         keep = ~np.isin(coords_to_enc(coords, field.q), ps.encs)
@@ -639,14 +606,12 @@ class CompletionResult:
 
 
 def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
-                 candidates=None, workers: int = 1, on_first=None) -> CompletionResult:
+                 candidates=None, on_first=None) -> CompletionResult:
     """Greedy completion by addable points, smallest encoding first.
 
     With ``candidates`` given, each round restricts the search to the still
     unused candidates; adding a point only shrinks the addable set, so this
     stays exact when the initial candidate list covers every addable point.
-    ``workers`` reaches only real whole-space scans in :func:`addable_points`;
-    the group-law walk on a set led by an arc runs on one thread.
     ``on_first`` is called with the addable points of ``ps`` itself before
     any point is added, so a caller keeps them even when a later round
     exceeds the budget.
@@ -660,7 +625,7 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
 
     def addable_now():
         if pool is None:
-            return addable_points(current, budget, workers=workers)
+            return addable_points(current, budget)
         return addable_filter(current, pool, budget)
 
     addable = addable_now()

@@ -38,6 +38,14 @@ PAIR_TABLE_MAX = 1024    # q*q add and sub tables up to this order
 _TABLE_BLOCK_ELEMS = 1 << 16  # entries per block when a table is built blockwise
 
 
+# Until a process frees one array larger than its work arrays, glibc maps and
+# trims those anew in every chunk (a fresh k = 6 verdict at q = 121 took 2,600
+# page faults, a quarter of its time); after it, glibc keeps them in its heap.
+# Freeing one untouched 8 MiB array here sets that state (mmap and trim
+# thresholds 8 and 16 MiB, still adjusted later); other allocators ignore it.
+np.empty(1 << 20)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -4,10 +4,10 @@ Two routes to the same classification:
 
 * :func:`line_meet` factors the restriction of the curve equation to one
   line exactly (root finding by exhaustive evaluation) and reports rational
-  intersection points with multiplicities.
+  intersection points with multiplicities; the tests use it as the reference.
 * :class:`LineSystem` classifies every line of the plane at once from
   incidence counts plus direct tangent enumeration, which is what the
-  whole-plane scans and the witness searches run on.
+  whole-plane scans, point profiles and witness searches run on.
 
 Both work on the squared-away model Y^2 = g(X) internally; the shift back to
 the curve's own coordinates is an affine map of the plane, so incidence,
@@ -315,24 +315,23 @@ def geometric_tangents(curve: EllipticCurve, point) -> tuple[int | None, bool]:
 
 
 def line_profile(curve: EllipticCurve, point) -> LineProfile:
-    """Classification counts of all q+1 lines through an external point."""
-    field = curve.field
-    p = normalize_coords(field, point)
+    """Classification counts of all q+1 lines through an external point, read
+    off the point's pencil in :class:`LineSystem`."""
+    p = normalize_coords(curve.field, point)
     if point_on_curve(curve, p):
         raise PointOnCurve(f"{p} lies on the curve")
-    counts = {KIND_SPARSE: 0, KIND_TANGENT: 0, KIND_TRISECANT: 0, KIND_CHORD: 0}
-    for dual in lines_through(field, p):
-        meet = line_meet(curve, dual)
-        counts[meet.kind] += 1
+    system = LineSystem(curve)
+    sparse, tangents, trisecants, chords = np.bincount(
+        system.kind[system.pencils([p])[0]], minlength=len(_KIND_BY_CODE)).tolist()
     geo, has_nv = geometric_tangents(curve, p)
-    if geo is not None and counts[KIND_TANGENT] > geo:
+    if geo is not None and tangents > geo:
         raise InvariantViolated("rational tangent count exceeds the closure count")
     return LineProfile(
         point=p,
-        tangents=counts[KIND_TANGENT],
-        trisecants=counts[KIND_TRISECANT],
-        chords=counts[KIND_CHORD],
-        sparse=counts[KIND_SPARSE],
+        tangents=tangents,
+        trisecants=trisecants,
+        chords=chords,
+        sparse=sparse,
         geometric_tangents=geo,
         has_nonvertical_tangent=has_nv,
     )

@@ -305,6 +305,6 @@ def test_criterion_11_cross_paths_and_determinism(sweep, capsys):
     cli_main(args)
     second = capsys.readouterr().out
     ok = ok and first == second and len(first) > 0
-    _report(11, "codeword and incidence distance paths agree on every sweep "
+    _report(11, "codeword and group-law distance paths agree on every sweep "
                 "code; reports are byte-identical across reruns",
             ok, f"{len(both)} codes double-checked")

@@ -4,7 +4,7 @@ import pytest
 
 from ellnmds import cli, geometry
 from ellnmds.cli import main
-from ellnmds.curve import curve_make
+from ellnmds.curve import EllipticCurve, curve_make
 from ellnmds.errors import Budget
 from ellnmds.geometry import proj_space_size
 from ellnmds.gf import field_of_order
@@ -144,31 +144,16 @@ def test_usage_error_exit_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"),
-    ("verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force"),
-    ("verify", "--theorem", "j0", "--q", "13", "--curve", "0,0,0,0,2", "--k", "4", "--force"),
-    # k = 5 without a frame: the fallback whole-space scan
-    ("verify", "--q", "9", "--curve", "0,0,0,4,1", "--k", "5", "--force", "--sample", "200"),
-    # k = 5 with a frame: the optional whole-space scan runs
-    ("verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force", "--sample", "200"),
-])
-def test_worker_count_does_not_change_reports(capsys, argv):
-    docs = []
-    for workers in ("1", "2"):
-        _, out, _ = run_cli(capsys, *argv, "--workers", workers)
-        doc = json.loads(out)
-        assert doc["config"].pop("workers") == int(workers)
-        docs.append(doc)
-    assert docs[0] == docs[1]
-
-
-@pytest.mark.parametrize("argv", [
     ("curve-scan", "--q", "7", "--max", "1"),
     ("build", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3"),
     ("classify", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3"),
     ("trisecants", "--q", "7", "--curve", "0,0,0,5,1"),
+    ("arc", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3"),
+    ("verify", "--q", "9", "--curve", "0,0,0,1,2", "--k", "3", "--force"),
+    ("oracle", "--q", "7", "--curve", "0,0,0,5,1", "--k", "3", "--h", "1"),
 ])
 def test_workers_flag_only_where_it_is_used(capsys, argv):
+    # no command runs a thread pool, so none takes a worker count
     assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, *argv, "--workers", "2")[0] == 1
 
@@ -178,15 +163,18 @@ def test_invariant_violation_is_reported_as_an_error(capsys, monkeypatch):
 
     from ellnmds import code as code_mod
 
-    # a codeword path that disagrees with the incidence path trips the
-    # distance cross-check inside min_distance
-    monkeypatch.setattr(code_mod, "_codeword_weights", lambda code, budget: np.array([1]))
-    code, out, err = run_cli(
-        capsys, "classify", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3"
-    )
-    assert code == 1
-    assert out == ""
-    assert "InvariantViolated: distance paths disagree" in err
+    # codeword sections that disagree with the group-law profile trip the
+    # cross-check inside min_distance; a section above k breaks the arc
+    argv = ("classify", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3")
+    for weights, error in [(lambda code: [code.n], "InvariantViolated: distance paths disagree: "
+                                                   "codeword sections [1, 0, 0, 0], group-law"),
+                           (lambda code: [1], "ArcPropertyViolated: a hyperplane holds 5 > k")]:
+        monkeypatch.setattr(code_mod, "_codeword_weights",
+                            lambda code, budget: np.array(weights(code)))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert error in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -214,33 +202,35 @@ def test_each_point_set_is_scanned_once_and_each_code_enumerated_once(capsys, mo
     assert [label for label, _ in charges].count("codeword_enumeration") <= 1
 
 
-@pytest.mark.parametrize("argv, scans", [
+@pytest.mark.parametrize("argv, profiles", [
     (["arc", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--complete"], 1),
     (["verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force"], 0),
     (["verify", "--q", "13", "--curve", "0,0,0,2,5", "--k", "4", "--force",
       "--budget", "100000"], 0),
 ])
-def test_a_non_eager_arc_reports_its_golden(monkeypatch, argv, scans):
-    # without the build-time check, the arc command scans the arc once for its
-    # profile and its first completion round reads that scan; every other
-    # round, and every round of a k = 4 verdict, walks the group law instead,
-    # charged at the scan's estimate
+def test_a_non_eager_arc_reports_its_golden(monkeypatch, argv, profiles):
+    # no arc is scanned: the arc command takes its profile from the group
+    # law, and every completion round walks the group law for its full
+    # hyperplanes, charged at the scan's estimate
     calls = []
-    scan = geometry.secant_scan
+    counts = EllipticCurve.zero_sum_counts
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].n)
-        return scan(*args, **kwargs)
+    def no_scan(*args, **kwargs):
+        raise AssertionError("secant_scan ran on an arc-led set")
 
-    monkeypatch.setattr(geometry, "EAGER_VERIFY_LIMIT", 0)
-    monkeypatch.setattr(geometry, "secant_scan", counting)
+    def counting(self, kmax):
+        calls.append(kmax)
+        return counts(self, kmax)
+
+    monkeypatch.setattr(geometry, "secant_scan", no_scan)
+    monkeypatch.setattr(EllipticCurve, "zero_sum_counts", counting)
     golden = _load_goldens()[" ".join(argv)]
     assert run_normalized(argv, None) == (golden["exit"], golden["stdout"])
-    assert len(calls) == scans
+    assert len(calls) == profiles
 
 
 def test_optional_k5_scan_runs_on_exactly_the_unrestricted_spend():
-    # the arc's kept scan serves the optional whole-space check for free, so a
+    # the optional whole-space check is the last charge of the verdict, so a
     # budget equal to the unrestricted spend still runs it
     argv = ["verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force",
             "--sample", "200"]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ellnmds import code as code_mod, geometry
 from ellnmds.code import (
     LABEL_AMDS,
     _codeword_weights,
@@ -29,7 +30,7 @@ from ellnmds.code import (
 from ellnmds.curve import curve_scan, short_curve
 from ellnmds.errors import Budget, KOutOfRange
 from ellnmds.geometry import addable_points
-from ellnmds.gf import field_make
+from ellnmds.gf import field_make, field_of_order
 
 
 def all_codewords(code):
@@ -85,6 +86,30 @@ def test_min_distance_paths_agree_on_sample():
                 code = generator_matrix(curve, k)
                 d = min_distance(code)
                 assert code._d_paths["codewords"] == code._d_paths["secants"] == d
+
+
+def test_arc_codes_run_one_matmul_and_no_scan(monkeypatch):
+    # an arc code's profile comes from the group law, so classifying it runs
+    # the codeword enumeration once and never the whole-space scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("secant_scan ran on an arc code")
+
+    calls = []
+
+    def counting(code, budget):
+        calls.append(code)
+        return _codeword_weights(code, budget)
+
+    monkeypatch.setattr(geometry, "secant_scan", no_scan)
+    monkeypatch.setattr(code_mod, "_codeword_weights", counting)
+    for q in (7, 13):
+        for curve in itertools.islice(curve_scan(field_of_order(q)), 0, None, 40):
+            for k in range(3, min(6, curve.n - 1) + 1):
+                calls.clear()
+                code = generator_matrix(curve, k)
+                cls = classify(code)
+                assert calls == [code]
+                assert cls.d == code._d_paths["codewords"] == code._d_paths["secants"]
 
 
 def test_weight_distribution_matches_enumeration():
@@ -184,10 +209,9 @@ def test_extend_by_addable_point_raises_distance():
         profile = code.arc.secant_profile()
         if profile[3] > 0 and not found_blocked:
             # a point on a 3-secant line keeps d unchanged
-            from ellnmds.geometry import proj_reps, filter_by_fulls, secant_scan
-            from ellnmds.errors import Budget
+            from ellnmds.geometry import secant_scan
 
-            _, fulls = secant_scan(code.arc, Budget(None))
+            _, fulls = secant_scan(code.arc)
             h = fulls[0]
             # find a point on that line outside the arc
             for x2 in range(5):

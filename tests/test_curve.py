@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -202,3 +203,23 @@ def test_addition_table_is_the_chord_tangent_group(q, data):
         line = _line_through(field, _plane_point(curve.points[i]), _plane_point(curve.points[j]))
         met = sorted(where[pt] for pt, mult in line_meet(curve, line).points for _ in range(mult))
         assert met == sorted([i, j, int(neg[add[i, j]])])
+
+
+def test_zero_sum_counts_match_subset_enumeration():
+    # Li-Wan's closed form against a walk over every j-subset, on every third
+    # curve of each field; the subset sums fold through the addition table
+    checked = 0
+    for q in (5, 7, 9):
+        for curve in itertools.islice(curve_scan(field_of_order(q)), 0, None, 3):
+            add, o = curve.addition_table, curve.n - 1
+            want = [1]
+            for j in range(1, 7):
+                subsets = np.array(list(itertools.combinations(range(curve.n), j)))
+                sums = np.full(len(subsets), o)
+                for col in subsets.T:
+                    sums = add[sums, col]
+                want.append(int((sums == o).sum()))
+            assert curve.zero_sum_counts(6) == tuple(want)
+            assert curve.zero_sum_counts(3) == tuple(want[:4])
+            checked += 1
+    assert checked > 300

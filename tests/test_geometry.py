@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
+from ellnmds import curve as curve_mod
 from ellnmds import geometry
 from ellnmds.code import generator_matrix, min_distance
 from ellnmds.errors import (
@@ -13,6 +16,7 @@ from ellnmds.errors import (
     DimensionMismatch,
     InvariantViolated,
     KOutOfRange,
+    Singular,
 )
 from ellnmds.extendability import choose_frame, k5_candidates
 from ellnmds.geometry import (
@@ -244,7 +248,7 @@ def test_subset_route_matches_scan_route():
             if k > curve.n - 1:
                 continue
             arc = arc_make(curve, k)
-            _, fulls_scan = secant_scan(arc, _big_budget())
+            _, fulls_scan = secant_scan(arc)
             assert np.array_equal(full_hyperplanes_via_subsets(arc), fulls_scan)
 
 
@@ -262,7 +266,7 @@ def test_subset_route_after_completion_rounds():
     for pt in result.added:
         ps = ps.with_point(pt)
         assert ps.arc is arc
-        _, fulls_scan = secant_scan(ps, _big_budget())
+        _, fulls_scan = secant_scan(ps)
         assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
 
 
@@ -287,15 +291,9 @@ def test_subset_route_with_a_degenerate_subset(q):
     field = field_of_order(q)
     ps = ProjPointSet(field, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
                                  (0, 0, 1, 0), (0, 0, 0, 1)])
-    _, fulls_scan = secant_scan(ps, _big_budget())
+    _, fulls_scan = secant_scan(ps)
     assert len(fulls_scan)
     assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
-
-
-def _big_budget():
-    from ellnmds.errors import Budget
-
-    return Budget(None)
 
 
 def test_addable_filter_agrees_with_full_scan():
@@ -320,7 +318,7 @@ def test_scans_agree_without_the_reps_cache(monkeypatch):
         for curve in curves:
             for k in (3, 4):
                 arc = arc_make(curve, k)
-                profile, fulls = secant_scan(arc, _big_budget())
+                profile, fulls = secant_scan(arc)
                 out.append((profile.tolist(), fulls.tolist(), addable_points(arc),
                             min_distance(generator_matrix(curve, k))))
         return out
@@ -370,18 +368,13 @@ def test_complete_arc_respects_max_add():
         pytest.skip("no curve needing two additions at q=5, k=3")
 
 
-def test_scan_deterministic_across_worker_counts():
+def test_scan_deterministic_across_chunk_sizes():
     field = field_make(7)
     curve = next(c for c in curve_scan(field) if c.n >= 6)
-    arc1 = arc_make(curve, 4)
-    arc2 = arc_make(curve, 4)
-    from ellnmds.errors import Budget
-
-    p1, f1 = secant_scan(arc1, Budget(None), workers=1, chunk_rows=37)
-    p2, f2 = secant_scan(arc2, Budget(None), workers=3, chunk_rows=11)
+    p1, f1 = secant_scan(arc_make(curve, 4), chunk_rows=37)
+    p2, f2 = secant_scan(arc_make(curve, 4), chunk_rows=11)
     assert (p1 == p2).all()
     assert np.array_equal(f1, f2)
-    assert addable_points(arc1, workers=1) == addable_points(arc2, workers=2)
 
 
 def test_point_set_rejects_duplicates_and_dimension():
@@ -398,21 +391,23 @@ def test_point_set_rejects_duplicates_and_dimension():
 
 
 def test_a_point_set_scans_once_and_shares_read_only_results():
-    arc = arc_make(short_curve(field_make(7), 0, 5, 1), 3)  # the eager check scans
+    arc = arc_make(short_curve(field_make(7), 0, 5, 1), 3)
     budget = Budget(None)
     profile, fulls = arc.scan(budget)
-    assert arc.secant_profile(budget) is profile and len(fulls)
-    assert arc.max_secant(budget) == 3 and arc.profile_json(budget)
+    assert arc.scan(budget)[0] is profile and len(fulls)
+    assert np.array_equal(arc.secant_profile(budget), profile)
+    assert np.array_equal(arc.fulls(budget), fulls)
     addable_points(arc, budget)
-    assert budget.spent == 0
-    for array in (profile, fulls):
+    # the scan, the group-law profile and the walk share one charge
+    assert budget.spent == proj_space_size(7, 3) * arc.n
+    for array in (profile, fulls, arc.secant_profile(), arc.fulls()):
         with pytest.raises(ValueError):
             array[0] = 0
     # another point set has a scan of its own
     part = ProjPointSet(arc.field, 3, arc.points[:-1])
-    part.secant_profile(budget)
     part.scan(budget)
-    assert budget.spent == proj_space_size(7, 3) * part.n
+    part.fulls(budget)
+    assert budget.spent == proj_space_size(7, 3) * (arc.n + part.n)
 
 
 def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
@@ -441,7 +436,6 @@ def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("secant_scan ran on an arc-led set")
 
-    monkeypatch.setattr(geometry, "EAGER_VERIFY_LIMIT", 0)
     monkeypatch.setattr(geometry, "secant_scan", no_scan)
     for curve, k, chain in chains:
         ps = arc_make(curve, k)
@@ -455,3 +449,39 @@ def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
                 ps.fulls()[0] = 0
             if want:
                 ps = ps.with_point(want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27]), data=st.data())
+def test_group_law_profile_equals_the_scan(q, data):
+    field = field_of_order(q)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))
+    try:
+        curve = short_curve(field, *coeffs)
+    except Singular:
+        assume(False)
+    assume(curve.n >= 4)
+    k = data.draw(st.integers(3, min(6 if q < 25 else 5, curve.n - 1)))
+    arc = arc_make(curve, k)
+    assert np.array_equal(arc.secant_profile(), secant_scan(arc)[0])
+
+
+def test_group_law_profile_breaks_under_mutation(monkeypatch):
+    # one zero-sum subset more or less, or every theta_m read as theta_(m+1),
+    # must move the profile off the scan's
+    real_counts, real_size = curve_mod.EllipticCurve.zero_sum_counts, geometry.proj_space_size
+    mutants = {
+        "z+1": (lambda self, kmax: real_counts(self, kmax)[:-1] + (real_counts(self, kmax)[-1] + 1,),
+                real_size),
+        "z-1": (lambda self, kmax: real_counts(self, kmax)[:-1] + (real_counts(self, kmax)[-1] - 1,),
+                real_size),
+        "theta": (real_counts, lambda q, m: real_size(q, m + 1)),
+    }
+    for q, k in [(7, 3), (9, 4), (11, 5), (13, 6)]:
+        curve = next(c for c in curve_scan(field_of_order(q)) if c.n > k + 2)
+        scanned = secant_scan(arc_make(curve, k))[0]
+        for counts, size in mutants.values():
+            monkeypatch.setattr(curve_mod.EllipticCurve, "zero_sum_counts", counts)
+            monkeypatch.setattr(geometry, "proj_space_size", size)
+            assert not np.array_equal(arc_make(curve, k).secant_profile(), scanned)
+        monkeypatch.undo()

@@ -1,4 +1,8 @@
+import os
+import pathlib
+import platform
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -440,3 +444,29 @@ def test_parity_check_is_a_null_space_basis(q, data):
             for a, b in zip(vec, row):
                 acc = field.add(acc, field.mul(a, b))
             assert acc == 0
+
+
+_FAULTS_PROBE = """
+import resource
+import numpy as np
+import ellnmds  # noqa: F401  (sets the allocator thresholds on import)
+
+def chunk():  # a few 2 MB work arrays alive at once, then freed
+    return np.ones(1 << 18) + np.ones(1 << 18) * np.ones(1 << 18)
+
+chunk()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    chunk()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_freed_work_arrays_are_reused_without_page_faults():
+    # a fresh process: with glibc's default thresholds each round's arrays
+    # are mapped or trimmed and faulted in again, thousands of faults a round
+    src = str(pathlib.Path(gf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert int(out.stdout) < 1000

@@ -150,10 +150,15 @@ def test_min_trisecants_matches_profiles():
     scan = min_trisecants(curve)
     ext = system.external_mask()
     ids = np.flatnonzero(ext)
+    # the scalar reference: line_meet on every line of each pencil
     brute = []
     for pid in ids:
-        prof = line_profile(curve, system.point_id_to_proj(int(pid)))
-        brute.append(prof.trisecants)
+        point = system.point_id_to_proj(int(pid))
+        kinds = [line_meet(curve, dual).kind for dual in lines_through(curve.field, point)]
+        prof = line_profile(curve, point)
+        assert (prof.sparse, prof.tangents, prof.trisecants, prof.chords) == tuple(
+            kinds.count(kind) for kind in (KIND_SPARSE, KIND_TANGENT, KIND_TRISECANT, KIND_CHORD))
+        brute.append(kinds.count(KIND_TRISECANT))
     assert scan.min_count == min(brute)
     assert scan.histogram == {
         int(v): int(c) for v, c in zip(*np.unique(brute, return_counts=True))

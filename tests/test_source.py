@@ -78,5 +78,30 @@ def test_normalize_coords_is_never_called_per_point():
 
 def test_secant_scan_has_one_library_caller():
     # a point set runs its whole-space scan once, in ProjPointSet.scan, and
-    # profiles, full hyperplanes and addable points all read the kept result
+    # profiles, full hyperplanes and addable points all read the kept result;
+    # an elliptic arc takes them from the group law instead
     assert [func for _, func, _ in _calls("secant_scan")] == ["scan"]
+
+
+def test_hyperplane_scan_is_charged_at_one_site():
+    # the scan, the group-law profile and the group-law walk share one charge
+    # per point set, so spend does not depend on the route
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "hyperplane_scan"
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_no_thread_pools_in_the_library():
+    # every scan runs on the calling thread; BLAS brings its own threads
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent")
+        or isinstance(node, ast.Import) and any(a.name.startswith("concurrent") for a in node.names)
+    ]
+    assert found == []
