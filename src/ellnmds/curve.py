@@ -221,15 +221,17 @@ class EllipticCurve:
     def zero_sum_counts(self, kmax: int) -> tuple[int, ...]:
         """Exact Z_0..Z_kmax, Z_j the j-subsets of the points summing to O, by Li and
         Wan (JCTA 2012): Z_j = (1/n) sum over d | j of N_d C(n/d, j/d) e_d^(j/d), with
-        N_d the points of order exactly d and e_d = -1 for even d, +1 for odd d."""
-        hit = self._np_cache.get("zero_sums")
-        if hit is not None and len(hit) > kmax:
-            return hit[: kmax + 1]
-        n = self.n
-        multiple, order = np.arange(n), np.zeros(n, dtype=np.int64)
-        for d in range(1, kmax + 1):  # order: the least d <= kmax with d * P = O, else 0
-            order[(multiple == n - 1) & (order == 0)] = d
-            multiple = self.addition_table[multiple, np.arange(n)]
+        N_d the points of order exactly d and e_d = -1 for even d, +1 for odd d.  The
+        orders are cached after one walk P, 2P, ... down the addition table; they
+        divide n, so one above n's largest proper divisor is n."""
+        n, order = self.n, self._np_cache.get("orders")
+        if order is None:
+            add, order, multiple = self.addition_table, np.zeros(n, dtype=np.int64), np.arange(n)
+            for d in range(1, max((e for e in range(1, n) if n % e == 0), default=0) + 1):
+                order[(multiple == n - 1) & (order == 0)] = d  # multiple[i] = d * points[i]
+                multiple = add[multiple, np.arange(n)]
+            order[order == 0] = n
+            order = self._np_cache.setdefault("orders", order)
         of_order = np.bincount(order, minlength=kmax + 1).tolist()
         counts = [1]
         for j in range(1, kmax + 1):
@@ -239,7 +241,6 @@ class EllipticCurve:
             if rest:
                 raise InvariantViolated(f"the count of zero-sum {j}-subsets is not integral")
             counts.append(z)
-        self._np_cache["zero_sums"] = tuple(counts)
         return tuple(counts)
 
     def _group(self) -> tuple[np.ndarray, np.ndarray]:

@@ -209,6 +209,8 @@ class ProjPointSet:
     Instances are immutable; ``with_point`` returns an extended copy.
     """
 
+    arc: "EllipticArc | None" = None  # the elliptic arc whose points lead this set, if any
+
     def __init__(self, field: Field, k: int, points, arc: "EllipticArc | None" = None):
         self.field = field
         self.k = k
@@ -221,7 +223,8 @@ class ProjPointSet:
         self._charged = False
         self._scan = None
         self._fulls = None
-        self.arc = arc  # the elliptic arc whose points lead this set, if any
+        if arc is not None:
+            self.arc = arc
 
     @property
     def n(self) -> int:
@@ -266,12 +269,17 @@ class ProjPointSet:
         return self._scan
 
     def fulls(self, budget: Budget | None = None) -> np.ndarray:
-        """Dual coordinates of the full (k-secant) hyperplanes, read-only: kept from one
-        :func:`full_hyperplanes_via_subsets` on a set led by an arc, else the set's scan's."""
+        """Dual coordinates of the full (k-secant) hyperplanes, read-only: the kept
+        :meth:`walk` on a set led by an arc, charged like the scan, else the set's scan's."""
         if self.arc is None:
             return self.scan(budget)[1]
+        self._charge_scan(budget)
+        return self.walk()
+
+    def walk(self) -> np.ndarray:
+        """:func:`full_hyperplanes_via_subsets` of the set, run on the first call and
+        kept read-only; callers charge it."""
         if self._fulls is None:
-            self._charge_scan(budget)
             self._fulls = full_hyperplanes_via_subsets(self)
             self._fulls.flags.writeable = False
         return self._fulls
@@ -280,8 +288,10 @@ class ProjPointSet:
 class EllipticArc(ProjPointSet):
     """Image of a curve's rational points in P^{k-1}, infinite image last."""
 
+    arc = property(lambda self: self)  # unstored: a self-reference waits for the cyclic GC
+
     def __init__(self, curve: EllipticCurve, k: int, points):
-        super().__init__(curve.field, k, points, arc=self)
+        super().__init__(curve.field, k, points)
         self.curve = curve
         self._profile = None
 
@@ -385,135 +395,125 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
     return survivors
 
 
-def _colex_unrank(ranks: np.ndarray, m: int, binoms: list[np.ndarray]) -> np.ndarray:
-    """(len(ranks), m) ascending members of the m-subsets with these colex ranks.
-
-    The colex rank of c_1 < ... < c_m is sum C(c_i, i), so the subsets whose
-    maximum is below c are exactly the first C(c, m); ``binoms[i][c]`` holds
-    C(c, i).
-    """
-    out = np.empty((len(ranks), m), dtype=np.int64)
-    rem = ranks
-    for i in range(m, 0, -1):
-        out[:, i - 1] = np.searchsorted(binoms[i], rem, side="right") - 1
-        rem = rem - binoms[i][out[:, i - 1]]
-    return out
-
-
-def _colex_sums(add: np.ndarray, zero: int, m: int, n: int) -> np.ndarray:
-    """Group sum, as a point index, of every m-subset of range(n) in colex order."""
-    sums = np.array([zero], dtype=add.dtype)
+def _colex_subsets(n: int, m: int) -> np.ndarray:
+    """(C(n, m), m) members of the m-subsets of range(n) in colex order: those with
+    top t are the first C(t, m - 1) (m-1)-subsets, each followed by t."""
+    subs = np.zeros((1, 0), dtype=np.min_scalar_type(n))
     for j in range(1, m + 1):
-        sums = np.concatenate(
-            [add[sums[: math.comb(top, j - 1)], top] for top in range(j - 1, n)]
-        )
-    return sums
+        subs = np.vstack([np.insert(subs[: math.comb(t, j - 1)], j - 1, t, axis=1)
+                          for t in range(j - 1, n)])
+    return subs
 
 
-def _null_duals(field: Field, mats: np.ndarray) -> np.ndarray:
-    """Cofactor null vector of (k-1) x k stacks; zero rows mean rank < k-1.
+def _minors(field: Field, rows: np.ndarray, prev: np.ndarray, j: int) -> np.ndarray:
+    """(C(k, j), m) j x j minors of m stacks of j rows, one row per column set
+    in ``combinations`` order, up to a sign set by j: cofactor expansion along
+    the last rows ``rows`` ((k,) shared by the stacks, or (k, m)), given the
+    (j-1)-minors ``prev`` of the rows above them, in the same layout."""
+    index = {cols: s for s, cols in enumerate(itertools.combinations(range(len(rows)), j - 1))}
+    out = []
+    for cols in itertools.combinations(range(len(rows)), j):
+        acc = field.mul_np(rows[cols[0]], prev[index[cols[1:]]])
+        for i in range(1, j):
+            term = field.mul_np(rows[cols[i]], prev[index[cols[:i] + cols[i + 1:]]])
+            acc = field.sub_np(acc, term) if i % 2 else field.add_np(acc, term)
+        out.append(acc)
+    return np.array(out)
 
-    Minors are built bottom-up over the trailing rows so every level reuses
-    the previous one instead of re-expanding, which matters at millions of
-    stacked subsets.
-    """
-    m = mats.shape[1]
-    k = mats.shape[2]
-    level: dict[tuple, np.ndarray] = {
-        (j,): mats[:, m - 1, j].copy() for j in range(k)
-    }
-    for t in range(2, m + 1):
-        row = m - t
-        nxt: dict[tuple, np.ndarray] = {}
-        for cols in itertools.combinations(range(k), t):
-            acc = None
-            for i, col in enumerate(cols):
-                sub = cols[:i] + cols[i + 1:]
-                term = field.mul_np(mats[:, row, col], level[sub])
-                if acc is None:
-                    acc = term
-                else:
-                    acc = field.add_np(acc, term) if i % 2 == 0 else field.sub_np(acc, term)
-            nxt[cols] = acc
+
+def _minor_trie(field: Field, coords: np.ndarray, depth: int, step: int):
+    """(signed, level): the rows with column c times (-1)^c, whose maximal
+    minors, last column set first, are a null vector of k-1 unsigned rows, and
+    level ``depth`` of their colex minor trie, at ``min_scalar_type(q - 1)``.
+
+    Level j holds the :func:`_minors` of every j-subset in colex order.  The
+    one of rank r has top (largest) row t, C(t, j) <= r < C(t+1, j), and its
+    rest is rank r - C(t, j) of level j - 1: level j is level j - 1 expanded
+    along the top rows, ``step`` subsets at a time."""
+    n, k = coords.shape
+    signed = np.where(np.arange(k) % 2, field.neg_np(coords), coords)
+    level = signed.T.astype(np.min_scalar_type(field.q - 1))
+    for j in range(2, depth + 1):
+        nxt = np.empty((math.comb(k, j), math.comb(n, j)), dtype=level.dtype)
+        binom = np.array([math.comb(c, j) for c in range(n + 1)], dtype=np.int64)
+        for lo in range(0, nxt.shape[1], step):
+            ranks = np.arange(lo, min(lo + step, nxt.shape[1]), dtype=np.int64)
+            top = np.searchsorted(binom, ranks, side="right") - 1
+            nxt[:, ranks] = _minors(field, signed[top].T, level[:, ranks - binom[top]], j)
         level = nxt
-    duals = np.empty((len(mats), k), dtype=np.int64)
-    all_cols = tuple(range(k))
-    for i in range(k):
-        sub = all_cols[:i] + all_cols[i + 1:]
-        duals[:, i] = level[sub] if i % 2 == 0 else field.neg_np(level[sub])
-    return duals
+    return signed, level
 
 
 def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     """Dual coordinates of every k-secant (full) hyperplane, in encoding order.
 
     Let A be the points of the elliptic arc that leads the set (``ps.arc``;
-    empty for a plain point set) and X the points after it.
+    empty for a plain point set) and X the points after it.  The walk takes
+    the (k-1)-subsets one top (largest) point t at a time; their rests are the
+    first C(t, k-2) (k-2)-subsets in colex order.
 
-    * Full hyperplanes inside A come from the group law: k distinct arc
-      points lie on one hyperplane exactly when they sum to O.  The walk
-      extends each (k-2)-subset S of A by an index a above max S and keeps
-      S + a when last = -(S + a) lies above a, so every zero-sum k-subset
-      yields its first k-1 points exactly once: C(n_A, k-1) table lookups,
-      but duals only for the kept subsets.
-    * A full hyperplane holding j >= 1 points of X is spanned by (k-1)-subsets
-      that hold one of them: the subsets whose maximum lies in X, about
-      |X| * C(n, k-2) of them.  Rank-deficient ones contribute their whole
-      pencil.
+    * Inside A, from the group law: k distinct arc points lie on one
+      hyperplane exactly when they sum to O.  For a top t in A a rest S is
+      kept when last = -(S + t) lies above t, so each zero-sum k-subset gives
+      its first k-1 points once: C(n_A, k-1) table lookups, one dual a kept
+      subset.
+    * A full hyperplane holding points of X is spanned by the subsets whose
+      top lies in X, about |X| * C(n, k-2), in windows of ``scan_chunk_rows``.
+      Rank-deficient ones contribute their whole pencil.
 
-    An incidence matmul confirms every hyperplane: a group-law one must meet
-    the set in exactly its k predicted points, or ArcPropertyViolated (more
-    than k) or InvariantViolated is raised.  Memory: the group sums of the
-    C(n_A, k-2) subsets (int32), plus windows of ``scan_chunk_rows`` subsets.
-    Callers charge the budget: :func:`addable_filter` and
-    :meth:`ProjPointSet.fulls`.
+    A dual is the rest's minors in the :func:`_minor_trie` expanded along the
+    top row: k(k-1) multiplies, after C(n, k-2) * C(k, 2) trie minors.  An
+    incidence matmul confirms every hyperplane: a group-law one must meet the
+    set in exactly its k predicted points, or ArcPropertyViolated (more than
+    k) or InvariantViolated is raised.  Memory: per (k-2)-subset its group sum
+    (int32), k-2 members and C(k, k-2) trie minors (``min_scalar_type`` of n
+    and q - 1), plus one top's subsets.  Uncharged: see :meth:`ProjPointSet.walk`.
     """
     field, k, n = ps.field, ps.k, ps.n
-    m = k - 1
     n_arc = ps.arc.n if ps.arc is not None else 0
+    members = _colex_subsets(n, k - 2)
     if n_arc:
         add, neg = ps.arc.curve.addition_table, ps.arc.curve.negation
-        sums = _colex_sums(add, n_arc - 1, m - 1, n_arc)
-    binoms = [np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
-              for i in range(m + 1)]
-    split, total = int(binoms[m][n_arc]), int(binoms[m][n])
+        sums = np.full(math.comb(n_arc, k - 2), n_arc - 1, dtype=add.dtype)
+        for col in members[: len(sums)].T:  # group sums of the arc's (k-2)-subsets
+            sums = add[sums, col]
     step = scan_chunk_rows(field, n)
+    signed, minors = _minor_trie(field, ps.coords, k - 2, step)
     w = ps.w_matrix
     arc_encs, x_encs = [], []
-    for lo in itertools.chain(range(0, split, step), range(split, total, step)):
-        on_arc = lo < split
-        ranks = np.arange(lo, min(lo + step, split if on_arc else total), dtype=np.int64)
-        top = np.searchsorted(binoms[m], ranks, side="right") - 1
-        rest = ranks - binoms[m][top]
+    for top in range(k - 2, n):
+        on_arc, count = top < n_arc, math.comb(top, k - 2)
         if on_arc:
-            last = neg[add[sums[rest], top]]
-            keep = last > top
-            top, rest, last = top[keep], rest[keep], last[keep]
-        subsets = np.hstack([_colex_unrank(rest, m - 1, binoms), top[:, None]])
-        duals = _null_duals(field, ps.coords[subsets])
-        singular = ~duals.any(axis=1)
-        if on_arc and singular.any():
-            raise InvariantViolated("k-1 arc points span less than a hyperplane")
-        found = [normalize_rows(field, duals[~singular])]
-        for sub in subsets[singular]:
-            basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
-            for mix in proj_reps(field, len(basis), 1 << 12):
-                combo = np.zeros((len(mix), k), dtype=np.int64)
-                for t in range(len(basis)):
-                    combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
-                found.append(normalize_rows(field, combo))
-        hyper = np.vstack(found)
-        mask = dot_zero_mask(field, hyper, w)
-        counts = mask.sum(axis=1)
-        if counts.max(initial=0) > k:
-            raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
-        if on_arc:
-            predicted = np.hstack([subsets, last[:, None]])
-            if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
-                raise InvariantViolated("a group-law hyperplane misses its predicted points")
-            arc_encs.append(coords_to_enc(hyper, field.q))
+            last = neg[add[sums[:count], top]]
+            windows = [np.flatnonzero(last > top)]
         else:
-            x_encs.append(coords_to_enc(hyper[counts == k], field.q))
+            windows = (np.arange(lo, min(lo + step, count)) for lo in range(0, count, step))
+        for rest in windows:
+            subsets = np.hstack([members[rest], np.full((len(rest), 1), top)])
+            duals = _minors(field, signed[top], minors[:, rest], k - 1)[::-1].T
+            singular = ~duals.any(axis=1)
+            if on_arc and singular.any():
+                raise InvariantViolated("k-1 arc points span less than a hyperplane")
+            found = [normalize_rows(field, duals[~singular])]
+            for sub in subsets[singular]:
+                basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
+                for mix in proj_reps(field, len(basis), 1 << 12):
+                    combo = np.zeros((len(mix), k), dtype=np.int64)
+                    for t in range(len(basis)):
+                        combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
+                    found.append(normalize_rows(field, combo))
+            hyper = np.vstack(found)
+            mask = dot_zero_mask(field, hyper, w)
+            counts = mask.sum(axis=1)
+            if counts.max(initial=0) > k:
+                raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
+            if on_arc:
+                predicted = np.hstack([subsets, last[rest, None]])
+                if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
+                    raise InvariantViolated("a group-law hyperplane misses its predicted points")
+                arc_encs.append(coords_to_enc(hyper, field.q))
+            else:
+                x_encs.append(coords_to_enc(hyper[counts == k], field.q))
     if x_encs:
         arc_encs.append(np.unique(np.concatenate(x_encs)))
     encs = np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
@@ -524,9 +524,9 @@ def addable_filter(ps: ProjPointSet, candidates,
                    budget: Budget | None = None) -> list[tuple[int, ...]]:
     """Addability test restricted to a candidate point list.
 
-    Full hyperplanes come from :func:`full_hyperplanes_via_subsets`, not from
-    a scan of the whole space: on an arc, a walk of the C(n, k-2) subsets of
-    k-2 points with one dual per full hyperplane, plus about C(n, k-2) spans
+    Full hyperplanes come from the set's kept :meth:`ProjPointSet.walk`, not
+    from a scan of the whole space: on an arc, a walk of the C(n, k-2) subsets
+    of k-2 points with one dual per full hyperplane, plus about C(n, k-2) spans
     per point added after the arc.  The charge keeps the (k-1)-subset span
     estimate, which overstates this work.
     """
@@ -539,8 +539,7 @@ def addable_filter(ps: ProjPointSet, candidates,
     order = np.argsort(encs, kind="stable")
     cand = cand[order[~np.isin(encs[order], ps.encs)]]
     budget.charge("subset_span_scan", math.comb(n, k - 1) * (n + k * (k - 1) ** 2))
-    fulls = full_hyperplanes_via_subsets(ps)
-    survivors = filter_by_fulls(field, cand, rows_digits(field, cand), fulls)
+    survivors = filter_by_fulls(field, cand, rows_digits(field, cand), ps.walk())
     return list(map(tuple, survivors.tolist()))
 
 

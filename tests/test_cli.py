@@ -242,3 +242,20 @@ def test_optional_k5_scan_runs_on_exactly_the_unrestricted_spend():
     assert doc["config"].pop("budget") == want["budgetSpent"]
     want["config"].pop("budget")
     assert doc == want
+
+
+def test_k5_verdict_walks_each_point_set_once(monkeypatch):
+    # the candidate rounds and the optional whole-space check read the arc's
+    # kept walk, so a budget that admits the check walks the arc once, and
+    # the report stays the golden's
+    argv = ["verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force",
+            "--sample", "200"]
+    walked, real = [], geometry.full_hyperplanes_via_subsets
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                        lambda ps: walked.append(ps) or real(ps))
+    golden = _load_goldens()[" ".join(argv)]
+    code, stdout = run_normalized(argv, None)
+    assert (code, stdout) == (golden["exit"], golden["stdout"])
+    assert "full ambient scan ran" in json.loads(stdout)["notes"]
+    assert walked[0] is walked[0].arc
+    assert [ps.n for ps in walked] == [walked[0].n, walked[0].n + 1, walked[0].n + 2]

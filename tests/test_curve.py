@@ -223,3 +223,26 @@ def test_zero_sum_counts_match_subset_enumeration():
             assert curve.zero_sum_counts(3) == tuple(want[:4])
             checked += 1
     assert checked > 300
+
+
+def test_zero_sum_counts_walk_the_table_once(monkeypatch):
+    # any kmax reads Z_j off one cached walk of point orders: calls with
+    # kmax 3, 6, 4 give fresh curves' values and read the table once
+    reads, real = [], EllipticCurve.addition_table
+    monkeypatch.setattr(EllipticCurve, "addition_table",
+                        property(lambda self: reads.append(self) or real.fget(self)))
+    for q in (7, 13, 121):
+        field = field_of_order(q)
+        for coeffs in [c.coeffs for c in itertools.islice(curve_scan(field), 0, 60, 6)]:
+            curve = curve_make(field, coeffs)
+            got = [curve.zero_sum_counts(kmax) for kmax in (3, 6, 4)]
+            assert got == [curve_make(field, coeffs).zero_sum_counts(kmax) for kmax in (3, 6, 4)]
+            assert sum(r is curve for r in reads) == 1
+            # each point's order: the least d >= 1 with d * P = O
+            add, o = real.fget(curve), curve.n - 1
+            for i, order in enumerate(curve._np_cache["orders"].tolist()):
+                multiple = i
+                for _ in range(order - 1):
+                    assert multiple != o
+                    multiple = add[multiple, i]
+                assert multiple == o

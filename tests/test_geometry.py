@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from ellnmds.geometry import (
     psi,
     secant_scan,
 )
-from ellnmds.gf import field_make, field_of_order
+from ellnmds.gf import field_make, field_of_order, parity_check
 
 
 # ---- independent oracles for prime fields (no library arithmetic) ----------
@@ -241,15 +243,47 @@ def test_addable_matches_naive_oracle(q):
             assert got == want
 
 
+def _walk_and_scan_agree(ps) -> bool:
+    """The walk and the whole-space scan give the same full hyperplanes, or
+    both refuse the set; True when they compared full hyperplanes."""
+    try:
+        _, fulls_scan = secant_scan(ps)
+    except ArcPropertyViolated:
+        with pytest.raises(ArcPropertyViolated):
+            full_hyperplanes_via_subsets(ps)
+        return False
+    assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+    return True
+
+
 def test_subset_route_matches_scan_route():
-    for q, k in [(5, 3), (5, 4), (7, 3), (7, 4), (7, 5), (7, 6), (9, 4), (9, 5), (9, 6)]:
+    cases = [(5, 3), (5, 4), (7, 3), (7, 4), (7, 5), (7, 6), (9, 4), (9, 5), (9, 6),
+             (11, 3), (11, 4), (11, 5), (11, 6), (13, 3), (13, 4), (13, 5), (13, 6),
+             (25, 3), (25, 4), (25, 5), (27, 3), (27, 4), (27, 5)]
+    extended = set()  # (q, k, points after the arc) of the compared sets
+    for q, k in cases:
         field = field_of_order(q)
-        for curve in itertools.islice(curve_scan(field), 12):
+        rng = np.random.default_rng([q, k])
+        for i, curve in enumerate(itertools.islice(curve_scan(field), 12 if q < 11 else 3)):
             if k > curve.n - 1:
                 continue
             arc = arc_make(curve, k)
-            _, fulls_scan = secant_scan(arc)
-            assert np.array_equal(full_hyperplanes_via_subsets(arc), fulls_scan)
+            assert _walk_and_scan_agree(arc)
+            if k < 5 or (q > 13 and i):
+                continue
+            # one and two points after the arc, each the first addable point of
+            # the set so far, else one drawn off it: the spans through them must
+            # find what the scan finds, or both routes must refuse the set
+            ps = arc
+            for _ in range(2):
+                row = (addable_points(ps) or [rng.integers(0, q, size=k)])[0]
+                if (coords_to_enc(normalize_points(field, k, [row]), q) == ps.encs).any():
+                    break
+                ps = ps.with_point(row)
+                if not _walk_and_scan_agree(ps):
+                    break
+                extended.add((q, k, ps.n - arc.n))
+    assert extended >= {(q, k, j) for q in (7, 9, 13) for k in (5, 6) for j in (1, 2)}
 
 
 def test_subset_route_after_completion_rounds():
@@ -294,6 +328,70 @@ def test_subset_route_with_a_degenerate_subset(q):
     _, fulls_scan = secant_scan(ps)
     assert len(fulls_scan)
     assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+
+
+def _null_vector(field, stack):
+    """Normalized null vector of a (k-1) x k stack by Gaussian elimination
+    (``parity_check`` over ``rref_gf``), or None below rank k-1."""
+    basis = parity_check(field, stack.tolist())
+    return normalize_coords(field, basis[0]) if len(basis) == 1 else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27]), k=st.integers(3, 6), data=st.data())
+def test_trie_duals_match_gaussian_elimination(q, k, data):
+    # every (k-1)-subset of a few rows, some of them combinations of earlier
+    # rows so that rank-deficient stacks occur: the minor trie's dual is the
+    # elimination's null vector up to a scalar, and zero below rank k-1
+    field = field_of_order(q)
+    elems = st.integers(0, q - 1)
+    rows = []
+    for _ in range(data.draw(st.integers(k - 1, k + 2))):
+        if len(rows) >= 2 and data.draw(st.booleans()):
+            (a, x), (b, y) = (data.draw(st.tuples(elems, st.sampled_from(rows))) for _ in "ab")
+            rows.append([field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(x, y)])
+        else:
+            rows.append(data.draw(st.lists(elems, min_size=k, max_size=k)))
+    rows = np.array(rows, dtype=np.int64)
+    signed, minors = geometry._minor_trie(field, rows, k - 2, data.draw(st.integers(1, 4)))
+    for top in range(k - 2, len(rows)):
+        rests = sorted(itertools.combinations(range(top), k - 2), key=lambda c: c[::-1])
+        duals = geometry._minors(field, signed[top], minors[:, : len(rests)], k - 1)[::-1].T
+        for rest, dual in zip(rests, duals):
+            want = _null_vector(field, rows[[*rest, top]])
+            if want is None:
+                assert not dual.any()
+            else:
+                assert normalize_coords(field, dual) == want
+
+
+def test_walk_catches_a_corrupted_trie_minor(monkeypatch):
+    # one wrong (k-2)-minor under a zero-sum k-subset moves that subset's
+    # dual off its points; the incidence matmul must refuse the hyperplane
+    real = geometry._minor_trie
+    for q, k in [(11, 3), (11, 4), (13, 5), (13, 6)]:
+        curve = next(c for c in curve_scan(field_of_order(q)) if c.n > k + 2)
+        arc = arc_make(curve, k)
+        add, o = curve.addition_table, curve.n - 1
+        first = next(s for s in itertools.combinations(range(curve.n), k)
+                     if functools.reduce(lambda acc, i: add[acc, i], s, o) == o)
+        rank = sum(math.comb(c, i + 1) for i, c in enumerate(first[: k - 2]))
+
+        # the minor over columns 2..k-1 enters dual coordinate 1 times the
+        # top point's leading coordinate, 1
+        row = list(itertools.combinations(range(k), k - 2)).index(tuple(range(2, k)))
+
+        def corrupt(field, coords, depth, step):
+            signed, minors = real(field, coords, depth, step)
+            minors = minors.copy()
+            minors[row, rank] = field.add(int(minors[row, rank]), 1)
+            return signed, minors
+
+        monkeypatch.setattr(geometry, "_minor_trie", corrupt)
+        with pytest.raises((InvariantViolated, ArcPropertyViolated)):
+            full_hyperplanes_via_subsets(arc)
+        monkeypatch.undo()
+        assert len(full_hyperplanes_via_subsets(arc)) == curve.zero_sum_counts(k)[k]
 
 
 def test_addable_filter_agrees_with_full_scan():
