@@ -44,6 +44,8 @@ from .gf import (
 _CHUNK_FLOATS = 24_000_000       # working-set bound for scan chunks
 _FULLS_START_BATCH = 32          # hyperplanes in filter_by_fulls' first batch
 _FULLS_MAX_BATCH = 4096          # ... and its largest, after doubling
+_SIEVE_AXES = 24                 # most pencils a point set's sieve keeps
+_SIEVE_TABLE_BYTES = 1 << 24     # bound on their tables, one byte for each of q^2 keys
 
 
 def proj_space_size(q: int, k: int) -> int:
@@ -223,6 +225,7 @@ class ProjPointSet:
         self._charged = False
         self._scan = None
         self._fulls = None
+        self._pencils = None
         if arc is not None:
             self.arc = arc
 
@@ -269,10 +272,11 @@ class ProjPointSet:
         return self._scan
 
     def fulls(self, budget: Budget | None = None) -> np.ndarray:
-        """Dual coordinates of the full (k-secant) hyperplanes, read-only: the kept
-        :meth:`walk` on a set led by an arc, charged like the scan, else the set's scan's."""
+        """Sorted encodings of the full (k-secant) hyperplanes' duals: the kept
+        :meth:`walk` on a set led by an arc, charged like the scan, else the set's
+        scan's, encoded."""
         if self.arc is None:
-            return self.scan(budget)[1]
+            return coords_to_enc(self.scan(budget)[1], self.field.q)
         self._charge_scan(budget)
         return self.walk()
 
@@ -283,6 +287,12 @@ class ProjPointSet:
             self._fulls = full_hyperplanes_via_subsets(self)
             self._fulls.flags.writeable = False
         return self._fulls
+
+    def pencils(self):
+        """:func:`pencil_tables` of the set, built on the first call and kept."""
+        if self._pencils is None:
+            self._pencils = pencil_tables(self)
+        return self._pencils
 
 
 class EllipticArc(ProjPointSet):
@@ -355,20 +365,132 @@ def secant_scan(ps: ProjPointSet, chunk_rows: int | None = None):
     return profile, np.vstack(fulls)
 
 
-def filter_by_fulls(field: Field, cand: np.ndarray, digits: np.ndarray,
-                    fulls: np.ndarray) -> np.ndarray:
-    """Remove candidate points lying on any of the given hyperplanes.
+def _pencil_axes(n: int, k: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` distinct (k-2)-subsets of range(n), all of them when there are
+    no more, drawn from a fixed seed so that they spread over the set.  Axes
+    of neighbours in the curve's point order sieve less: at k = 4 the line
+    through the images of P != -P and -P passes through (0, 0, 1, 0)."""
+    if math.comb(n, k - 2) <= count:
+        return list(itertools.combinations(range(n), k - 2))
+    rng = np.random.default_rng(0)
+    axes: dict[tuple[int, ...], None] = {}
+    while len(axes) < count:
+        axes.setdefault(tuple(sorted(rng.choice(n, k - 2, replace=False).tolist())), None)
+    return list(axes)
 
-    ``digits`` holds the candidates' digit rows and is cut down with them.
-    Walks the hyperplane list in doubling batches; most candidates die early,
-    so the expected work is far below len(cand) * len(fulls).
+
+def _pencil_keys(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, A) keys a*q + b, with a = f0.x and b = f1.x, of the digit rows x
+    against the form pairs (f0, f1) whose W (:func:`linear_w_matrix`) is ``w``.
+
+    One exact matmul gives the digit dot products v; v mod p is
+    v - p floor((v + 1/2) / p), whose quotient lies at least 1/(2p) from an
+    integer, more than the rounding error while v < 2^22 in float32 (2^51 in
+    float64, see :func:`pencil_tables`); the 2r digits of a pair are then
+    weighted into its key, below q^2 <= 2^24."""
+    p, r = field.p, field.r
+    prod = digits.astype(w.dtype, copy=False) @ w
+    prod -= p * np.floor((prod + 0.5) * (1 / p))
+    place = (p ** np.concatenate([r + np.arange(r), np.arange(r)])).astype(w.dtype)
+    keys = prod.reshape(-1, 2 * r) @ place
+    return keys.astype(np.int32).reshape(len(digits), w.shape[1] // (2 * r))
+
+
+def pencil_tables(ps: ProjPointSet):
+    """(w, tables, duals): the pencils of the set's sieve, by counting its points.
+
+    An axis is k-2 independent set points S (:func:`_pencil_axes`, at most
+    ``_SIEVE_AXES``, and at most ``_SIEVE_TABLE_BYTES / q^2``).  With (f0, f1) =
+    ``parity_check(S)``, the q+1 hyperplanes through span(S) are the duals
+    u1 f0 - u0 f1, one for each class (u0 : u1) of P^1, and a point x off
+    span(S) lies on the one whose class is that of its key (f0.x, f1.x).  A
+    member is full when it holds exactly k set points: those of its class plus
+    those of span(S), key (0, 0), which lie on every member.
+
+    ``w`` is the W matrix of f0, f1 of every axis, ``tables[a]`` the q^2
+    booleans "the member of axis a through key a*q + b is full" (key 0, a point
+    of span(S), lies on every member), and ``duals`` the encodings of the full
+    members.  Cost O(A n) keys and O(A q) table entries; memory A q^2 bytes.
+    A member with more than k set points raises ArcPropertyViolated.
     """
-    if len(cand) == 0 or len(fulls) == 0:
+    field, k, q = ps.field, ps.k, ps.field.q
+    forms = []
+    for axis in _pencil_axes(ps.n, k, min(_SIEVE_AXES, _SIEVE_TABLE_BYTES // q**2)):
+        basis = parity_check(field, ps.coords[list(axis)])
+        if len(basis) == 2:  # S is independent
+            forms.extend(basis)
+    forms = np.array(forms, dtype=np.int64).reshape(-1, 2, k)
+    exact32 = (field.p - 1) ** 2 * k * field.r < 1 << 22
+    w = linear_w_matrix(field, forms.reshape(-1, k), np.float32 if exact32 else np.float64)
+    keys = _pencil_keys(field, rows_digits(field, ps.coords, w.dtype), w)
+    tables = np.zeros((len(forms), q * q), dtype=bool)
+    lam = np.arange(1, q, dtype=np.int64)
+    duals = []
+    for a, (f0, f1) in enumerate(forms):
+        on_axis = keys[:, a] == 0
+        u = normalize_rows(field, np.stack(np.divmod(keys[~on_axis, a].astype(np.int64), q), axis=1))
+        sizes = np.bincount(np.where(u[:, 0] == 1, u[:, 1], q), minlength=q + 1) + on_axis.sum()
+        if sizes.max() > k:
+            raise ArcPropertyViolated(f"a hyperplane through {int(on_axis.sum())} set points "
+                                      f"meets the set in {int(sizes.max())} > k={k} points")
+        full = np.flatnonzero(sizes == k)
+        c = full[full < q]  # class (1 : c), keys lam * (1, c); dual c f0 - f1
+        tables[a, (lam[:, None] * q + field.mul_np(lam[:, None], c[None, :])).reshape(-1)] = True
+        d = [field.sub_np(field.mul_np(c[:, None], f0[None, :]), f1[None, :])]
+        if len(full) and full[-1] == q:  # class (0 : 1), keys (0, lam); dual f0
+            tables[a, lam] = True
+            d.append(f0[None, :])
+        tables[a, 0] = len(full) > 0
+        duals.append(coords_to_enc(normalize_rows(field, np.vstack(d)), q))
+    tables.flags.writeable = False
+    return w, tables, np.concatenate(duals) if duals else np.empty(0, dtype=np.int64)
+
+
+def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray, fulls: np.ndarray):
+    """(cand, digits) without the candidates on a full member of the set's
+    :meth:`ProjPointSet.pencils`: one key lookup a pencil, the pencils taken in
+    doubling batches, each on the survivors of the one before.  Every full
+    member must be one of ``fulls``, or InvariantViolated is raised."""
+    w, tables, duals = ps.pencils()
+    at = np.searchsorted(fulls, duals)
+    if (at == len(fulls)).any() or (fulls[np.minimum(at, len(fulls) - 1)] != duals).any():
+        raise InvariantViolated("a full hyperplane of a pencil is missing from the full hyperplanes")
+    q2, cols = ps.field.q ** 2, 2 * ps.field.r
+    live = np.arange(len(cand), dtype=np.int32)  # compacted in place of the wider rows
+    lo, batch = 0, 1
+    while lo < len(tables) and len(live):
+        hi = min(lo + batch, len(tables))
+        keys = _pencil_keys(ps.field, digits, w[:, lo * cols: hi * cols])
+        hit = np.take(tables[lo:hi].reshape(-1), keys + np.arange(hi - lo, dtype=np.int32) * q2)
+        keep = ~hit.any(axis=1)
+        live, digits = live[keep], digits[keep]
+        lo, batch = hi, 2 * batch
+    return cand[live], digits
+
+
+def filter_by_fulls(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray,
+                    fulls: np.ndarray) -> np.ndarray:
+    """The candidates that are not points of the set and lie on none of its
+    full hyperplanes, in their order.
+
+    ``cand`` holds normalized rows, ``digits`` their digit rows, and ``fulls``
+    the sorted encodings of the set's full hyperplanes.  The pencil sieve
+    (:func:`_pencil_sieve`) runs first: a pencil drops about (n-k)/(2(q+1)) of
+    the candidates for one key lookup, where one zero test drops 1/q.  The set's
+    own points go next, then the survivors meet ``fulls`` in doubling batches of
+    exact zero tests.  A candidate dropped by the sieve lies on a member with k
+    set points, a full hyperplane, so the result is exact.
+    """
+    if len(cand) == 0:
         return cand
+    field = ps.field
+    cand, digits = _pencil_sieve(ps, cand, digits, fulls)
+    keep = ~np.isin(coords_to_enc(cand, field.q), ps.encs)
+    cand, digits = cand[keep], digits[keep]
     pos = 0
     batch = _FULLS_START_BATCH
     while pos < len(fulls) and len(cand):
-        block = fulls[pos: pos + batch]
+        block = enc_to_coords(fulls[pos: pos + batch], field.q, ps.k)
         keep = ~dot_zero_mask_digits(field, digits, linear_w_matrix(field, block)).any(axis=1)
         cand, digits = cand[keep], digits[keep]
         pos += len(block)
@@ -382,17 +504,21 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
 
     Takes the k-secant (full) hyperplanes from :meth:`ProjPointSet.fulls`
     (the group-law walk on a set led by an arc, else the set's one
-    whole-space scan) and excludes their union together with the set itself.
-    Results follow the canonical point order.
+    whole-space scan) and runs every point of P^(k-1), a chunk at a time,
+    through :func:`filter_by_fulls`.  Results follow the canonical point order.
     """
     field = ps.field
     fulls = ps.fulls(budget)
     survivors = []
     for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
-        keep = ~np.isin(coords_to_enc(coords, field.q), ps.encs)
-        cand = filter_by_fulls(field, coords[keep], digits[keep], fulls)
-        survivors.extend(map(tuple, cand.tolist()))
+        survivors.extend(map(tuple, filter_by_fulls(ps, coords, digits, fulls).tolist()))
     return survivors
+
+
+def _addable_among(ps: ProjPointSet, rows, fulls: np.ndarray) -> list[tuple[int, ...]]:
+    """:func:`filter_by_fulls` of normalized rows, as tuples."""
+    cand = np.asarray(rows, dtype=np.int64).reshape(-1, ps.k)
+    return list(map(tuple, filter_by_fulls(ps, cand, rows_digits(ps.field, cand), fulls).tolist()))
 
 
 def _colex_subsets(n: int, m: int) -> np.ndarray:
@@ -445,7 +571,8 @@ def _minor_trie(field: Field, coords: np.ndarray, depth: int, step: int):
 
 
 def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
-    """Dual coordinates of every k-secant (full) hyperplane, in encoding order.
+    """Sorted encodings (:func:`coords_to_enc`) of the duals of every k-secant
+    (full) hyperplane.
 
     Let A be the points of the elliptic arc that leads the set (``ps.arc``;
     empty for a plain point set) and X the points after it.  The walk takes
@@ -516,8 +643,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
                 x_encs.append(coords_to_enc(hyper[counts == k], field.q))
     if x_encs:
         arc_encs.append(np.unique(np.concatenate(x_encs)))
-    encs = np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
-    return enc_to_coords(encs, field.q, k)
+    return np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
 
 
 def addable_filter(ps: ProjPointSet, candidates,
@@ -535,12 +661,9 @@ def addable_filter(ps: ProjPointSet, candidates,
     cand = normalize_points(field, k, candidates)
     if len(cand) == 0:
         return []
-    encs = coords_to_enc(cand, field.q)
-    order = np.argsort(encs, kind="stable")
-    cand = cand[order[~np.isin(encs[order], ps.encs)]]
+    cand = cand[np.argsort(coords_to_enc(cand, field.q), kind="stable")]
     budget.charge("subset_span_scan", math.comb(n, k - 1) * (n + k * (k - 1) ** 2))
-    survivors = filter_by_fulls(field, cand, rows_digits(field, cand), ps.walk())
-    return list(map(tuple, survivors.tolist()))
+    return _addable_among(ps, cand, ps.walk())
 
 
 def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = None) -> int:
@@ -608,9 +731,11 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
                  candidates=None, on_first=None) -> CompletionResult:
     """Greedy completion by addable points, smallest encoding first.
 
-    With ``candidates`` given, each round restricts the search to the still
-    unused candidates; adding a point only shrinks the addable set, so this
-    stays exact when the initial candidate list covers every addable point.
+    Adding a point only shrinks the addable set, so every round after the
+    first tests only the points the round before found addable, less the one
+    added.  With ``candidates`` given, the first round tests only them, which
+    stays exact when they cover every addable point; without, it scans
+    P^(k-1).  Each round charges as its set's search of that kind would.
     ``on_first`` is called with the addable points of ``ps`` itself before
     any point is added, so a caller keeps them even when a later round
     exceeds the budget.
@@ -620,21 +745,18 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
     budget = ensure_budget(budget)
     added: list[tuple[int, ...]] = []
     current = ps
-    pool = candidates
-
-    def addable_now():
-        if pool is None:
-            return addable_points(current, budget)
-        return addable_filter(current, pool, budget)
-
-    addable = addable_now()
+    if candidates is None:
+        addable = addable_points(current, budget)
+    else:
+        addable = addable_filter(current, candidates, budget)
     if on_first is not None:
         on_first(addable)
     while addable and len(added) < max_add:
-        pick = addable[0]
+        pick, rest = addable[0], addable[1:]
         added.append(pick)
         current = current.with_point(pick)
-        if pool is not None:
-            pool = addable[1:]
-        addable = addable_now()
+        if candidates is None:  # charged as the whole-space round it replaces
+            addable = _addable_among(current, rest, current.fulls(budget))
+        else:
+            addable = addable_filter(current, rest, budget)
     return CompletionResult(added=added, complete=not addable, final=current)

@@ -30,6 +30,7 @@ from ellnmds.geometry import (
     coords_to_enc,
     full_hyperplanes_via_subsets,
     incidence,
+    pencil_tables,
     normalize_coords,
     normalize_points,
     normalize_rows,
@@ -39,7 +40,7 @@ from ellnmds.geometry import (
     psi,
     secant_scan,
 )
-from ellnmds.gf import field_make, field_of_order, parity_check
+from ellnmds.gf import dot_zero_mask, field_make, field_of_order, linear_w_matrix, parity_check
 
 
 # ---- independent oracles for prime fields (no library arithmetic) ----------
@@ -74,6 +75,22 @@ def naive_max_secant(q, k, arc_rows):
     reps = prime_proj_reps(q, k)
     arc = np.array(arc_rows, dtype=np.int64)
     return int(((reps @ arc.T) % q == 0).sum(axis=1).max())
+
+
+def unsieved_addable(ps):
+    """Addable points with no pencil sieve: every point off the set, zero
+    tested against the full hyperplanes of a plain copy's whole-space scan
+    (blocks of them, dropping the points already on one)."""
+    field, k = ps.field, ps.k
+    _, fulls = secant_scan(ProjPointSet(field, k, ps.points))
+    out = []
+    for reps in proj_reps(field, k, 1 << 15):
+        reps = reps[~np.isin(coords_to_enc(reps, field.q), ps.encs)]
+        for start in range(0, len(fulls), 256):
+            w = linear_w_matrix(field, fulls[start: start + 256])
+            reps = reps[~dot_zero_mask(field, reps, w).any(axis=1)]
+        out.extend(map(tuple, reps.tolist()))
+    return out
 
 
 # ---- monomials and the embedding -------------------------------------------
@@ -252,7 +269,7 @@ def _walk_and_scan_agree(ps) -> bool:
         with pytest.raises(ArcPropertyViolated):
             full_hyperplanes_via_subsets(ps)
         return False
-    assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+    assert np.array_equal(full_hyperplanes_via_subsets(ps), coords_to_enc(fulls_scan, ps.field.q))
     return True
 
 
@@ -301,7 +318,7 @@ def test_subset_route_after_completion_rounds():
         ps = ps.with_point(pt)
         assert ps.arc is arc
         _, fulls_scan = secant_scan(ps)
-        assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+        assert np.array_equal(full_hyperplanes_via_subsets(ps), coords_to_enc(fulls_scan, ps.field.q))
 
 
 def test_group_law_check_catches_a_bad_table(monkeypatch):
@@ -327,7 +344,7 @@ def test_subset_route_with_a_degenerate_subset(q):
                                  (0, 0, 1, 0), (0, 0, 0, 1)])
     _, fulls_scan = secant_scan(ps)
     assert len(fulls_scan)
-    assert np.array_equal(full_hyperplanes_via_subsets(ps), fulls_scan)
+    assert np.array_equal(full_hyperplanes_via_subsets(ps), coords_to_enc(fulls_scan, ps.field.q))
 
 
 def _null_vector(field, stack):
@@ -427,13 +444,24 @@ def test_scans_agree_without_the_reps_cache(monkeypatch):
     assert results() == cached
 
 
-def test_complete_arc_greedy_matches_naive():
+def test_complete_arc_greedy_matches_naive(monkeypatch):
+    # rounds after the first filter the previous round's addable points, so a
+    # completion walks P^2 once, while each round still charges its set's scan
+    real, walks = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks", lambda *a: walks.append(a) or real(*a))
     field = field_make(5)
+    rounds = []
     for curve in itertools.islice(curve_scan(field), 25):
         if curve.n - 1 < 3:
             continue
         arc = arc_make(curve, 3)
-        result = complete_arc(arc, max_add=10)
+        walks.clear()
+        budget = Budget(None)
+        result = complete_arc(arc, max_add=10, budget=budget)
+        assert len(walks) == 1
+        assert budget.spent == sum(proj_space_size(5, 3) * (arc.n + i)
+                                   for i in range(len(result.added) + 1))
+        rounds.append(len(result.added) + 1)
         # replay the greedy loop against the naive oracle
         pts = list(arc.points)
         naive_added = []
@@ -448,6 +476,7 @@ def test_complete_arc_greedy_matches_naive():
         assert result.complete
         if not result.added:
             assert result.final is arc or result.final.n == arc.n
+    assert max(rounds) >= 3
 
 
 def test_complete_arc_respects_max_add():
@@ -494,7 +523,7 @@ def test_a_point_set_scans_once_and_shares_read_only_results():
     profile, fulls = arc.scan(budget)
     assert arc.scan(budget)[0] is profile and len(fulls)
     assert np.array_equal(arc.secant_profile(budget), profile)
-    assert np.array_equal(arc.fulls(budget), fulls)
+    assert np.array_equal(arc.fulls(budget), coords_to_enc(fulls, 7))
     addable_points(arc, budget)
     # the scan, the group-law profile and the walk share one charge
     assert budget.spent == proj_space_size(7, 3) * arc.n
@@ -509,8 +538,9 @@ def test_a_point_set_scans_once_and_shares_read_only_results():
 
 
 def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
-    # the scan route, on plain copies of each arc and its extensions by one
-    # and two greedy points, is the reference for the group-law route
+    # the unsieved zero test against the scan of plain copies of each arc and
+    # its extensions by one and two greedy points is the reference for the
+    # group-law route
     chains = []
     for q in (5, 7, 9, 11, 13):
         field = field_of_order(q)
@@ -518,7 +548,7 @@ def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
             for k in (3, 4, 5):
                 ps, chain = arc_make(curve, k), []
                 while len(chain) < 3:
-                    want = addable_points(ProjPointSet(field, k, ps.points))
+                    want = unsieved_addable(ps)
                     chain.append(want)
                     if not want:
                         break
@@ -583,3 +613,87 @@ def test_group_law_profile_breaks_under_mutation(monkeypatch):
             monkeypatch.setattr(geometry, "proj_space_size", size)
             assert not np.array_equal(arc_make(curve, k).secant_profile(), scanned)
         monkeypatch.undo()
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27]), data=st.data())
+def test_the_pencil_sieve_is_exact(q, data):
+    # arc-led sets, with up to two addable points appended, and plain copies:
+    # the sieved filters match the unsieved reference, in any axis order
+    field = field_of_order(q)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))
+    try:
+        curve = short_curve(field, *coeffs)
+    except Singular:
+        assume(False)
+    assume(curve.n >= 4)
+    k = data.draw(st.integers(3, min(6 if q < 25 else 5, curve.n - 1)))
+    assert geometry.proj_reps_cached(field, k) is not None
+    ps = arc_make(curve, k)
+    want = unsieved_addable(ps)
+    for _ in range(data.draw(st.integers(0, 2))):
+        if not want:
+            break
+        ps = ps.with_point(want[data.draw(st.integers(0, len(want) - 1))])
+        want = unsieved_addable(ps)
+    plain = data.draw(st.booleans())
+
+    def fresh():
+        return ProjPointSet(field, k, ps.points) if plain else ProjPointSet(field, k, ps.points, arc=ps.arc)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    space = proj_space_size(q, k)
+    picks = rng.choice(space, min(space, 2000), replace=False)
+    reps = np.vstack(list(proj_reps(field, k)))
+    cands = np.unique(np.vstack([reps[picks], np.array(want, dtype=np.int64).reshape(-1, k)]),
+                      axis=0)
+    rng.shuffle(cands)
+    cand_set = set(map(tuple, cands.tolist()))
+    assert addable_points(fresh()) == want
+    assert addable_filter(fresh(), cands) == [p for p in want if p in cand_set]
+    real = geometry._pencil_axes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_pencil_axes", lambda *a: real(*a)[::-1])
+        assert addable_points(fresh()) == want
+        assert addable_filter(fresh(), cands) == [p for p in want if p in cand_set]
+
+
+def test_the_pencil_sieve_drops_most_candidates_by_table():
+    # at q = 121 the pencils leave few of P^3's 1.79M points to the zero
+    # tests: each keeps about 1 - (n - k)/(2(q + 1)) of them
+    field = field_of_order(121)
+    curve = short_curve(field, 1, 1, 2)
+    arc = arc_make(curve, 4)
+    w, tables, duals = pencil_tables(arc)
+    assert len(tables) == 24
+    kept = 1 - tables[:, 1:].mean()  # members' keys are equally many, q - 1 each
+    assert abs(kept - (1 - (arc.n - 4) / (2 * 122))) < 0.05
+    coords, digits = geometry.proj_reps_cached(field, 4)
+    survivors, _ = geometry._pencil_sieve(arc, coords[::9], digits[::9], arc.walk())
+    assert len(survivors) <= 100
+
+
+def test_a_walk_missing_a_pencil_hyperplane_is_refused(monkeypatch):
+    # drop one full member of a sieve pencil from the walk: the sieve would
+    # remove its points although the zero tests would not, so the cross-check
+    # must refuse the walk rather than let the two disagree
+    curve = next(c for c in curve_scan(field_make(13)) if c.n >= 14)
+    real = geometry.full_hyperplanes_via_subsets
+    for k in (3, 4, 5):
+        dropped = pencil_tables(arc_make(curve, k))[2][0]
+        monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                            lambda ps: np.setdiff1d(real(ps), [dropped]))
+        with pytest.raises(InvariantViolated):
+            addable_points(arc_make(curve, k))
+        with pytest.raises(InvariantViolated):
+            addable_filter(arc_make(curve, k), [(1,) * k])
+        monkeypatch.undo()
+        addable_points(arc_make(curve, k))
+
+
+def test_a_pencil_member_over_k_points_is_refused():
+    # four collinear points of P^2: the line through each axis point holds
+    # four set points, one more than k = 3
+    ps = ProjPointSet(field_make(5), 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1)])
+    with pytest.raises(ArcPropertyViolated):
+        pencil_tables(ps)

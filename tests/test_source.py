@@ -105,3 +105,10 @@ def test_no_thread_pools_in_the_library():
         or isinstance(node, ast.Import) and any(a.name.startswith("concurrent") for a in node.names)
     ]
     assert found == []
+
+
+def test_the_pencil_sieve_runs_only_inside_the_candidate_filter():
+    # filter_by_fulls is the one candidate filter: every caller's candidates
+    # pass its pencil sieve, then its set-point exclusion and zero tests
+    assert [(func, in_loop) for _, func, in_loop in _calls("_pencil_sieve")] == [
+        ("filter_by_fulls", False)]
