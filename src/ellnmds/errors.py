@@ -126,6 +126,8 @@ class Budget:
             raise BudgetExceeded(label, int(estimate), self.remaining)
 
     def charge(self, label: str, estimate: int) -> None:
+        if estimate < 0:
+            raise InvariantViolated(f"{label}: negative cost estimate {int(estimate)}")
         self.check(label, estimate)
         self.spent += int(estimate)
 

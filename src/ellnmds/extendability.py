@@ -522,10 +522,15 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
 
     k=3 and k=4 run full addable scans; k=5 tests the candidate family
     exactly and samples witness hyperplanes for non-candidates; k=6 samples
-    witness hyperplanes across the ambient space.  ``workers`` is ignored.
+    witness hyperplanes across the ambient space, at ``sample`` points (None:
+    the default, 0: none, negative: ValueError).  ``workers`` is ignored.
     """
     if k not in (3, 4, 5, 6):
         raise ValueError("the verified claims concern k in {3, 4, 5, 6}")
+    if sample is None:
+        sample = DEFAULT_SAMPLE_K5 if k == 5 else DEFAULT_SAMPLE_K6
+    elif sample < 0:
+        raise ValueError(f"sample must be nonnegative, not {sample}")
     budget = ensure_budget(budget)
     field = curve.field
     report = VerdictReport(
@@ -546,9 +551,9 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
         elif k == 4:
             _verify_k4(curve, budget, report)
         elif k == 5:
-            _verify_k5(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K5, force)
+            _verify_k5(curve, budget, report, seed, sample, force)
         else:
-            _verify_k6(curve, budget, report, seed, sample or DEFAULT_SAMPLE_K6, force)
+            _verify_k6(curve, budget, report, seed, sample, force)
     except BudgetExceeded as exc:
         report.verdict = VERDICT_BUDGET_PARTIAL
         report.notes.append(f"budget: {exc}")

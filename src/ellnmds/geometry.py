@@ -6,9 +6,9 @@ walks normalized tuples in increasing big-endian value sum(c_i * q^(k-1-i)),
 so (0,...,0,1) always comes first; all scans, reports and greedy choices
 follow that order.
 
-An elliptic arc takes its section profile and full hyperplanes from the group
-law; the scans of other sets and the addable-point filter run on a digit level
-matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
+Point sets take full hyperplanes, and arcs their section profile, from the group
+law; the addable-point filter and :func:`secant_scan`, the tests' reference, run
+on a digit level matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
 """
 
 from __future__ import annotations
@@ -223,7 +223,6 @@ class ProjPointSet:
         self.points = tuple(map(tuple, self.coords.tolist()))
         self._w = None
         self._charged = False
-        self._scan = None
         self._fulls = None
         self._pencils = None
         if arc is not None:
@@ -254,29 +253,15 @@ class ProjPointSet:
         return [self.points[i] for i in np.flatnonzero(mask)]
 
     def _charge_scan(self, budget: Budget | None) -> None:
-        """Charge ``hyperplane_scan`` at the scan's estimate once per set, whichever of the
-        scan, the group-law profile or walk runs first: spend does not depend on the route."""
+        """Charge ``hyperplane_scan`` at a whole-space scan's estimate once per set, whichever
+        of :meth:`fulls` and the group-law profile is first (``None``: a throwaway budget)."""
         if not self._charged:
             ensure_budget(budget).charge("hyperplane_scan",
                                          proj_space_size(self.field.q, self.k) * self.n)
             self._charged = True
 
-    def scan(self, budget: Budget | None = None):
-        """(profile, fulls) of :func:`secant_scan`, run on the first call and
-        kept; both arrays are shared by every caller and read-only."""
-        if self._scan is None:
-            self._charge_scan(budget)
-            profile, fulls = secant_scan(self)
-            profile.flags.writeable = fulls.flags.writeable = False
-            self._scan = (profile, fulls)
-        return self._scan
-
     def fulls(self, budget: Budget | None = None) -> np.ndarray:
-        """Sorted encodings of the full (k-secant) hyperplanes' duals: the kept
-        :meth:`walk` on a set led by an arc, charged like the scan, else the set's
-        scan's, encoded."""
-        if self.arc is None:
-            return coords_to_enc(self.scan(budget)[1], self.field.q)
+        """The kept :meth:`walk`, charged ``hyperplane_scan`` before it runs."""
         self._charge_scan(budget)
         return self.walk()
 
@@ -289,9 +274,14 @@ class ProjPointSet:
         return self._fulls
 
     def pencils(self):
-        """:func:`pencil_tables` of the set, built on the first call and kept."""
+        """(w, tables) of :func:`pencil_tables`, built on the first call and kept; a
+        full member missing from the :meth:`walk` raises InvariantViolated."""
         if self._pencils is None:
-            self._pencils = pencil_tables(self)
+            fulls, (w, tables, duals) = self.walk(), pencil_tables(self)
+            at = np.searchsorted(fulls, duals)  # fulls is sorted
+            if (at == len(fulls)).any() or (fulls[np.minimum(at, len(fulls) - 1)] != duals).any():
+                raise InvariantViolated("a full hyperplane of a pencil is missing from the walk")
+            self._pencils = w, tables
         return self._pencils
 
 
@@ -346,7 +336,8 @@ def secant_scan(ps: ProjPointSet, chunk_rows: int | None = None):
     Returns (profile, fulls) where profile[s] counts hyperplanes meeting the
     set in exactly s points and fulls holds the dual coordinates of the
     k-secant ones.  Raises ArcPropertyViolated if any hyperplane exceeds k
-    points.  The library runs it once per set not led by an arc, in ``ps.scan``.
+    points.  No library path runs it: uncharged and unkept, it is the tests'
+    whole-space reference for :meth:`ProjPointSet.walk`.
     """
     field, k, n = ps.field, ps.k, ps.n
     profile = np.zeros(k + 1, dtype=np.int64)
@@ -446,15 +437,11 @@ def pencil_tables(ps: ProjPointSet):
     return w, tables, np.concatenate(duals) if duals else np.empty(0, dtype=np.int64)
 
 
-def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray, fulls: np.ndarray):
+def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray):
     """(cand, digits) without the candidates on a full member of the set's
     :meth:`ProjPointSet.pencils`: one key lookup a pencil, the pencils taken in
-    doubling batches, each on the survivors of the one before.  Every full
-    member must be one of ``fulls``, or InvariantViolated is raised."""
-    w, tables, duals = ps.pencils()
-    at = np.searchsorted(fulls, duals)
-    if (at == len(fulls)).any() or (fulls[np.minimum(at, len(fulls) - 1)] != duals).any():
-        raise InvariantViolated("a full hyperplane of a pencil is missing from the full hyperplanes")
+    doubling batches, each on the survivors of the one before."""
+    w, tables = ps.pencils()
     q2, cols = ps.field.q ** 2, 2 * ps.field.r
     live = np.arange(len(cand), dtype=np.int32)  # compacted in place of the wider rows
     lo, batch = 0, 1
@@ -468,23 +455,22 @@ def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray, fulls:
     return cand[live], digits
 
 
-def filter_by_fulls(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray,
-                    fulls: np.ndarray) -> np.ndarray:
+def filter_by_fulls(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The candidates that are not points of the set and lie on none of its
     full hyperplanes, in their order.
 
-    ``cand`` holds normalized rows, ``digits`` their digit rows, and ``fulls``
-    the sorted encodings of the set's full hyperplanes.  The pencil sieve
+    ``cand`` holds normalized rows and ``digits`` their digit rows; the full
+    hyperplanes are the set's kept :meth:`ProjPointSet.walk`.  The pencil sieve
     (:func:`_pencil_sieve`) runs first: a pencil drops about (n-k)/(2(q+1)) of
     the candidates for one key lookup, where one zero test drops 1/q.  The set's
-    own points go next, then the survivors meet ``fulls`` in doubling batches of
+    own points go next, then the survivors meet the walk in doubling batches of
     exact zero tests.  A candidate dropped by the sieve lies on a member with k
     set points, a full hyperplane, so the result is exact.
     """
     if len(cand) == 0:
         return cand
-    field = ps.field
-    cand, digits = _pencil_sieve(ps, cand, digits, fulls)
+    field, fulls = ps.field, ps.walk()
+    cand, digits = _pencil_sieve(ps, cand, digits)
     keep = ~np.isin(coords_to_enc(cand, field.q), ps.encs)
     cand, digits = cand[keep], digits[keep]
     pos = 0
@@ -502,23 +488,22 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
     """All external points every hyperplane through which meets the set
     in at most k-1 points.
 
-    Takes the k-secant (full) hyperplanes from :meth:`ProjPointSet.fulls`
-    (the group-law walk on a set led by an arc, else the set's one
-    whole-space scan) and runs every point of P^(k-1), a chunk at a time,
-    through :func:`filter_by_fulls`.  Results follow the canonical point order.
+    Walks the k-secant (full) hyperplanes through :meth:`ProjPointSet.fulls`, then
+    runs every point of P^(k-1), a chunk at a time, through :func:`filter_by_fulls`.
+    Results follow the canonical point order.
     """
     field = ps.field
-    fulls = ps.fulls(budget)
+    ps.fulls(budget)
     survivors = []
     for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
-        survivors.extend(map(tuple, filter_by_fulls(ps, coords, digits, fulls).tolist()))
+        survivors.extend(map(tuple, filter_by_fulls(ps, coords, digits).tolist()))
     return survivors
 
 
-def _addable_among(ps: ProjPointSet, rows, fulls: np.ndarray) -> list[tuple[int, ...]]:
+def _addable_among(ps: ProjPointSet, rows) -> list[tuple[int, ...]]:
     """:func:`filter_by_fulls` of normalized rows, as tuples."""
     cand = np.asarray(rows, dtype=np.int64).reshape(-1, ps.k)
-    return list(map(tuple, filter_by_fulls(ps, cand, rows_digits(ps.field, cand), fulls).tolist()))
+    return list(map(tuple, filter_by_fulls(ps, cand, rows_digits(ps.field, cand)).tolist()))
 
 
 def _colex_subsets(n: int, m: int) -> np.ndarray:
@@ -663,7 +648,7 @@ def addable_filter(ps: ProjPointSet, candidates,
         return []
     cand = cand[np.argsort(coords_to_enc(cand, field.q), kind="stable")]
     budget.charge("subset_span_scan", math.comb(n, k - 1) * (n + k * (k - 1) ** 2))
-    return _addable_among(ps, cand, ps.walk())
+    return _addable_among(ps, cand)
 
 
 def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = None) -> int:
@@ -734,8 +719,8 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
     Adding a point only shrinks the addable set, so every round after the
     first tests only the points the round before found addable, less the one
     added.  With ``candidates`` given, the first round tests only them, which
-    stays exact when they cover every addable point; without, it scans
-    P^(k-1).  Each round charges as its set's search of that kind would.
+    stays exact when they cover every addable point; without, it filters all
+    of P^(k-1).  Each round charges as its set's search of that kind would.
     ``on_first`` is called with the addable points of ``ps`` itself before
     any point is added, so a caller keeps them even when a later round
     exceeds the budget.
@@ -756,7 +741,8 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
         added.append(pick)
         current = current.with_point(pick)
         if candidates is None:  # charged as the whole-space round it replaces
-            addable = _addable_among(current, rest, current.fulls(budget))
+            current.fulls(budget)
+            addable = _addable_among(current, rest)
         else:
             addable = addable_filter(current, rest, budget)
     return CompletionResult(added=added, complete=not addable, final=current)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .curve import INFINITY, EllipticCurve
 from .errors import DimensionMismatch, InvariantViolated, PointOnCurve
-from .geometry import coords_to_enc, normalize_coords, normalize_rows
+from .geometry import coords_to_enc, normalize_coords, normalize_points, normalize_rows
 from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim, rank_gf
 
 KIND_SPARSE = "sparse"
@@ -92,6 +92,12 @@ class LineProfile:
         }
 
 
+def _plane_point(field, point) -> tuple[int, int, int]:
+    """Normalized point or line dual of the plane; a width other than 3 raises
+    DimensionMismatch."""
+    return tuple(normalize_points(field, 3, [point])[0].tolist())
+
+
 def _short_dual(curve: EllipticCurve, dual) -> tuple[int, int, int]:
     """Map a line dual from curve coordinates to the squared-away plane."""
     f = curve.field
@@ -131,7 +137,7 @@ def _cubic_roots_with_multiplicity(field, coeffs):
 def line_meet(curve: EllipticCurve, dual) -> LineMeet:
     """Exact rational intersection of one line with the curve."""
     field = curve.field
-    dual_n = normalize_coords(field, dual)
+    dual_n = _plane_point(field, dual)
     a, b, c = _short_dual(curve, dual_n)
     A, B, C = curve.short_form()
 
@@ -178,7 +184,7 @@ def line_meet(curve: EllipticCurve, dual) -> LineMeet:
 
 
 def point_on_curve(curve: EllipticCurve, point) -> bool:
-    p1, p2, p3 = normalize_coords(curve.field, point)
+    p1, p2, p3 = _plane_point(curve.field, point)
     if p1 == 0:
         return (p1, p2, p3) == (0, 0, 1)
     return curve.is_on_curve(p2, p3)
@@ -186,7 +192,7 @@ def point_on_curve(curve: EllipticCurve, point) -> bool:
 
 def lines_through(field, point):
     """All q+1 normalized line duals through a projective plane point."""
-    p = normalize_coords(field, point)
+    p = _plane_point(field, point)
     # cross products with the unit vectors span the orthogonal plane
     candidates = [
         (0, field.neg(p[2]), p[1]),
@@ -300,7 +306,7 @@ def geometric_tangents(curve: EllipticCurve, point) -> tuple[int | None, bool]:
     number of rational lines with a rational double contact.
     """
     field = curve.field
-    p1, p2, p3 = normalize_coords(field, point)
+    p1, p2, p3 = _plane_point(field, point)
     if point_on_curve(curve, (p1, p2, p3)):
         raise PointOnCurve(f"({p1},{p2},{p3}) lies on the curve")
     if p1 == 1:
@@ -317,7 +323,7 @@ def geometric_tangents(curve: EllipticCurve, point) -> tuple[int | None, bool]:
 def line_profile(curve: EllipticCurve, point) -> LineProfile:
     """Classification counts of all q+1 lines through an external point, read
     off the point's pencil in :class:`LineSystem`."""
-    p = normalize_coords(curve.field, point)
+    p = _plane_point(curve.field, point)
     if point_on_curve(curve, p):
         raise PointOnCurve(f"{p} lies on the curve")
     system = LineSystem(curve)
@@ -449,7 +455,7 @@ class LineSystem:
         return m * q + t
 
     def dual_to_id(self, dual_orig) -> int:
-        return self.short_dual_to_id(_short_dual(self.curve, normalize_coords(self.curve.field, dual_orig)))
+        return self.short_dual_to_id(_short_dual(self.curve, _plane_point(self.curve.field, dual_orig)))
 
     def id_to_dual(self, line_id: int) -> tuple[int, int, int]:
         a, bc = divmod(int(self.dual_enc[line_id]), self.q * self.q)

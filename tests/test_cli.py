@@ -80,6 +80,27 @@ def test_trisecants_scan_and_point(capsys):
     assert doc["sumsToQPlus1"] is True
 
 
+def test_trisecants_rejects_a_point_of_the_wrong_width(capsys):
+    code, out, err = run_cli(
+        capsys, "trisecants", "--q", "7", "--curve", "0,0,0,5,1", "--point", "1,0"
+    )
+    assert code == 1 and out == ""
+    assert "DimensionMismatch" in err
+
+
+def test_verify_sample_zero_draws_nothing_and_a_negative_one_is_refused(capsys):
+    # --sample 0 once drew the default 100,000 points, and --sample -500
+    # reported a spend of -14500 and a CONSISTENT verdict
+    argv = ["verify", "--q", "11", "--curve", "0,0,0,1,3", "--k", "6", "--force", "--sample"]
+    code, out, err = run_cli(capsys, *argv, "0")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "CONSISTENT"
+    assert doc["sampled"] == 0 and doc["budgetSpent"] == 0
+    code, out, err = run_cli(capsys, *argv, "-500")
+    assert code == 1 and out == ""
+    assert "ValueError" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--q", "121", "--curve", "0,0,0,1,0", "--k", "3"

@@ -232,6 +232,26 @@ def test_verify_main_k3_consistent():
     assert report.addable == [] and report.complete
 
 
+def test_verify_sample_counts():
+    # None draws the default, 0 draws nothing and charges no witness_sample,
+    # a negative count is refused before any charge
+    curve = curve_make(field_make(11), (0, 0, 0, 1, 4))
+    reports = {}
+    for sample in (None, 0, 200):
+        budget = Budget(None)
+        reports[sample] = verify_main_theorem(curve, 5, budget, sample=sample, force=True)
+        assert reports[sample].budget_spent == budget.spent
+    assert reports[None].sampled == extendability.DEFAULT_SAMPLE_K5
+    assert reports[0].sampled == 0 and reports[200].sampled == 200
+    assert reports[200].budget_spent - reports[0].budget_spent == 200 * (11 + curve.n)
+    budget = Budget(None)
+    with pytest.raises(ValueError):
+        verify_main_theorem(curve, 5, budget, sample=-500, force=True)
+    with pytest.raises(InvariantViolated):
+        budget.charge("witness_sample", -1)
+    assert budget.spent == 0
+
+
 def test_verify_main_gates():
     field = field_make(11, 2)
     zero_j = next(c for c in curve_scan(field) if c.j == 0)

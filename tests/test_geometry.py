@@ -517,30 +517,40 @@ def test_point_set_rejects_duplicates_and_dimension():
         ps.incident_points((1, 0))
 
 
-def test_a_point_set_scans_once_and_shares_read_only_results():
+def test_a_point_set_walks_once_and_shares_read_only_results(monkeypatch):
+    # an arc and a plain set each walk once: the charged fulls, the uncharged
+    # walk, addable points and the candidate filter all read one kept array
     arc = arc_make(short_curve(field_make(7), 0, 5, 1), 3)
+    plain = ProjPointSet(arc.field, 3, arc.points[:-1])
+    walked = []
+    real = geometry.full_hyperplanes_via_subsets
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                        lambda ps: walked.append(ps) or real(ps))
     budget = Budget(None)
-    profile, fulls = arc.scan(budget)
-    assert arc.scan(budget)[0] is profile and len(fulls)
-    assert np.array_equal(arc.secant_profile(budget), profile)
-    assert np.array_equal(arc.fulls(budget), coords_to_enc(fulls, 7))
-    addable_points(arc, budget)
-    # the scan, the group-law profile and the walk share one charge
-    assert budget.spent == proj_space_size(7, 3) * arc.n
-    for array in (profile, fulls, arc.secant_profile(), arc.fulls()):
+    for ps in (arc, plain):
+        spent = budget.spent
+        fulls = ps.fulls(budget)
+        assert np.array_equal(fulls, coords_to_enc(secant_scan(ps)[1], 7)) and len(fulls)
+        addable_points(ps, budget)
+        addable_filter(ps, [(1, 1, 1)], Budget(None))
+        assert ps.fulls(budget) is fulls and ps.walk() is fulls
+        assert sum(w is ps for w in walked) == 1
+        assert budget.spent - spent == proj_space_size(7, 3) * ps.n
         with pytest.raises(ValueError):
-            array[0] = 0
-    # another point set has a scan of its own
-    part = ProjPointSet(arc.field, 3, arc.points[:-1])
-    part.scan(budget)
-    part.fulls(budget)
-    assert budget.spent == proj_space_size(7, 3) * (arc.n + part.n)
+            fulls[0] = 0
+    # the group-law profile shares the arc's charge
+    profile = arc.secant_profile(budget)
+    assert np.array_equal(profile, secant_scan(arc)[0])
+    assert arc.secant_profile() is profile
+    with pytest.raises(ValueError):
+        profile[0] = 0
+    assert budget.spent == proj_space_size(7, 3) * (arc.n + plain.n)
 
 
 def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
     # the unsieved zero test against the scan of plain copies of each arc and
     # its extensions by one and two greedy points is the reference for the
-    # group-law route
+    # group-law walk, on the sets and on plain copies of them alike
     chains = []
     for q in (5, 7, 9, 11, 13):
         field = field_of_order(q)
@@ -562,19 +572,20 @@ def test_arc_led_sets_take_full_hyperplanes_from_the_group_law(monkeypatch):
             charges.append((label, int(estimate)))
 
     def no_scan(*args, **kwargs):
-        raise AssertionError("secant_scan ran on an arc-led set")
+        raise AssertionError("secant_scan ran in the library")
 
     monkeypatch.setattr(geometry, "secant_scan", no_scan)
     for curve, k, chain in chains:
         ps = arc_make(curve, k)
         for want in chain:
-            charges = []
-            budget = RecordingBudget(None)
-            assert addable_points(ps, budget) == want
-            assert addable_points(ps, budget) == want
-            assert charges == [("hyperplane_scan", proj_space_size(curve.field.q, k) * ps.n)]
-            with pytest.raises(ValueError):
-                ps.fulls()[0] = 0
+            for tested in (ps, ProjPointSet(curve.field, k, ps.points)):
+                charges = []
+                budget = RecordingBudget(None)
+                assert addable_points(tested, budget) == want
+                assert addable_points(tested, budget) == want
+                assert charges == [("hyperplane_scan", proj_space_size(curve.field.q, k) * ps.n)]
+                with pytest.raises(ValueError):
+                    tested.fulls()[0] = 0
             if want:
                 ps = ps.with_point(want[0])
 
@@ -669,7 +680,7 @@ def test_the_pencil_sieve_drops_most_candidates_by_table():
     kept = 1 - tables[:, 1:].mean()  # members' keys are equally many, q - 1 each
     assert abs(kept - (1 - (arc.n - 4) / (2 * 122))) < 0.05
     coords, digits = geometry.proj_reps_cached(field, 4)
-    survivors, _ = geometry._pencil_sieve(arc, coords[::9], digits[::9], arc.walk())
+    survivors, _ = geometry._pencil_sieve(arc, coords[::9], digits[::9])
     assert len(survivors) <= 100
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from ellnmds.secants import (
     KIND_TANGENT,
     KIND_TRISECANT,
     LineSystem,
+    geometric_tangents,
     line_meet,
     line_profile,
     lines_through,
@@ -240,3 +242,10 @@ def test_pencils_reject_rows_of_the_wrong_width():
         system.pencils([1, 2, 3])
     assert system.pencils([(1, 2, 3)]).shape == (1, 14)
     assert system.pencils(np.empty((0, 3), dtype=np.int64)).shape == (0, 14)
+    # a plane point or line of the wrong width, where one was unpacked
+    calls = [functools.partial(func, curve)
+             for func in (point_on_curve, geometric_tangents, line_profile, line_meet)]
+    for call in calls + [functools.partial(lines_through, curve.field), system.dual_to_id]:
+        for point in [(1, 0), (1, 2, 3, 4)]:
+            with pytest.raises(DimensionMismatch):
+                call(point)

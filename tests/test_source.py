@@ -76,11 +76,24 @@ def test_normalize_coords_is_never_called_per_point():
     assert [where for where, _, in_loop in _calls("normalize_coords") if in_loop] == []
 
 
-def test_secant_scan_has_one_library_caller():
-    # a point set runs its whole-space scan once, in ProjPointSet.scan, and
-    # profiles, full hyperplanes and addable points all read the kept result;
-    # an elliptic arc takes them from the group law instead
-    assert [func for _, func, _ in _calls("secant_scan")] == ["scan"]
+def test_secant_scan_has_no_library_caller():
+    # every point set takes its full hyperplanes from its one kept group-law
+    # walk, and an elliptic arc its profile from the group law; the
+    # whole-space scan stays only as the tests' independent reference
+    assert _calls("secant_scan") == []
+
+
+def test_no_geometry_function_takes_full_hyperplanes():
+    # the candidate filter reads the point set's kept walk itself, so no
+    # caller can hand it the full hyperplanes of another set or route
+    found = [
+        f"{func.name}:{func.lineno}"
+        for func in ast.walk(ast.parse((SRC / "geometry.py").read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "fulls" in {a.arg for a in (*func.args.posonlyargs, *func.args.args,
+                                        *func.args.kwonlyargs)}
+    ]
+    assert found == []
 
 
 def test_hyperplane_scan_is_charged_at_one_site():
