@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -39,6 +40,20 @@ def _parse_curve(text: str) -> tuple[int, ...]:
     if len(parts) != 5:
         raise ValueError("curve literal must be a1,a2,a3,a4,a5")
     return tuple(int(p) for p in parts)
+
+
+def _budget_limit(text: str) -> int:
+    """A nonnegative integer-valued literal, ``100000000000``, ``1e11`` or ``0e5000``,
+    below 10^4300 (the 4300 digits that ``int`` reads from a string)."""
+    try:
+        value = decimal.Decimal(text.strip())
+    except decimal.InvalidOperation:
+        value = None
+    if (value is None or not value.is_finite() or value < 0
+            or not (value.is_zero() or value.adjusted() < 4300)
+            or value != value.to_integral_value()):
+        raise argparse.ArgumentTypeError(f"budget {text!r} is not a nonnegative integer")
+    return int(value)
 
 
 def _config_echo(args, command: str) -> dict:
@@ -252,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         if k:
             p.add_argument("--k", type=int, required=True, help="embedding dimension")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LIMIT,
+            p.add_argument("--budget", type=_budget_limit, default=DEFAULT_BUDGET_LIMIT,
                            help="element-multiplication cap for scans")
 
     p = sub.add_parser("nq1", help="largest elliptic point count over F_q")
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--matrix", default=None, metavar="PATH",
                    help="generator matrix file: 'q k n' then k rows")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LIMIT)
+    p.add_argument("--budget", type=_budget_limit, default=DEFAULT_BUDGET_LIMIT)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("trisecants", help="trisecant scan or one point profile")

@@ -161,19 +161,69 @@ def proj_reps(field: Field, k: int, chunk_rows: int | None = None):
             yield coords
 
 
-def proj_chunks(field: Field, k: int, rows: int):
+def proj_chunks(field: Field, k: int, rows: int, odd: np.ndarray | None = None):
     """Yield (coords, digit rows) of P^{k-1}(F_q) in canonical order, at most
     ``rows`` points a chunk: slices of :func:`proj_reps_cached` when the space
-    fits the cache, generated chunks otherwise."""
+    fits the cache, generated chunks otherwise.
+
+    With ``odd`` (:func:`negation_odd`), a cached space yields only one point
+    of each orbit of x -> normalize(D x), D the sign flip of the odd
+    coordinates: x itself when its odd or its even coordinates all vanish (D
+    fixes it), else the one whose first nonzero coordinate of the parity
+    opposite to its lead's lies in H = {h : enc(h) < enc(-h)} (x and
+    normalize(D x) first differ there, by its sign), read through a row index
+    (:func:`_orbit_index`).  Generated spaces ignore ``odd`` and yield every
+    point, which a caller merging the survivors' orbits handles the same."""
     cached = proj_reps_cached(field, k)
     if cached is not None:
         coords, digits = cached
-        for start in range(0, len(coords), rows):
-            yield coords[start: start + rows], digits[start: start + rows]
+        if odd is None:
+            for start in range(0, len(coords), rows):
+                yield coords[start: start + rows], digits[start: start + rows]
+            return
+        index = _orbit_index(field, odd)
+        for start in range(0, len(index), rows):
+            at = index[start: start + rows]
+            yield np.take(coords, at, axis=0), np.take(digits, at, axis=0)
         return
     dtype = gemm_dtype(field, k)
     for coords in proj_reps(field, k, rows):
         yield coords, rows_digits(field, coords, dtype)
+
+
+_ORBIT_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _orbit_index(field: Field, odd: np.ndarray) -> np.ndarray:
+    """Sorted int32 rows of the cached P^{k-1}(F_q) that :func:`proj_chunks` keeps
+    for ``odd``, cached per (p, r, odd): about half the space, 3.6 MB for P^3(F_121).
+
+    Built a lead at a time from the tail's last coordinate to its first, never
+    as a mask over the space: a tail still all zero on the opposite parity
+    either keeps any digit of a coordinate of the lead's parity, or, at one of
+    the opposite parity, stays undecided on 0 or keeps every later tail after
+    an h in H.  Each step lists its rows in increasing tail value."""
+    key = (field.p, field.r, tuple(odd.tolist()))
+    hit = _ORBIT_CACHE.get(key)
+    if hit is None:
+        q, k = field.q, len(odd)
+        enc = np.arange(q, dtype=np.int64)
+        halves = np.flatnonzero(enc < field.neg_np(enc)).astype(np.int32)
+        blocks, offset = [], 0
+        for lead in range(k - 1, -1, -1):
+            undecided, size = np.zeros(1, dtype=np.int32), 1
+            for c in range(k - 1, lead, -1):
+                if odd[c] != odd[lead]:
+                    free = (halves[:, None] * size + np.arange(size, dtype=np.int32)).reshape(-1)
+                    undecided = np.concatenate([undecided, free])
+                else:
+                    undecided = (np.arange(q, dtype=np.int32)[:, None] * size + undecided).reshape(-1)
+                size *= q
+            blocks.append(undecided + offset)
+            offset += size
+        hit = _ORBIT_CACHE.setdefault(key, np.concatenate(blocks))
+        hit.flags.writeable = False
+    return hit
 
 
 def psi(field: Field, i: int, x: int, y: int) -> int:
@@ -192,6 +242,25 @@ def psi(field: Field, i: int, x: int, y: int) -> int:
         return field.mul(x, field.pow(y, s))
     s = (i - 4) // 3
     return field.mul(field.mul(x, x), field.pow(y, s))
+
+
+def negation_odd(field: Field, k: int) -> np.ndarray:
+    """(k,) booleans: the coordinates (1, psi_2, ..., psi_k) of odd Y-degree,
+    read off psi(1, -1) = (-1)^(Y-degree); none in characteristic 2.
+
+    On a model with a1 = a2 = 0, -(x, y) = (x, -y), so negation acts on the
+    arc's span as D, the sign flip of exactly these coordinates: (+,+,-,+) at
+    k = 4, and -1 on coordinates 2 and 4 at k = 5, 6."""
+    minus = field.neg(1)
+    return np.array([False] + [psi(field, i, 1, minus) != 1 for i in range(2, k + 1)])
+
+
+def negated_encs(field: Field, coords: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Encodings of normalize(D x) for normalized rows x, D the sign flip of the
+    ``odd`` coordinates; hyperplane duals map the same way, as D is its own
+    inverse transpose."""
+    return coords_to_enc(normalize_rows(field, np.where(odd, field.neg_np(coords), coords)),
+                         field.q)
 
 
 def phi_k(field: Field, point, k: int) -> tuple[int, ...]:
@@ -489,15 +558,44 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
     in at most k-1 points.
 
     Walks the k-secant (full) hyperplanes through :meth:`ProjPointSet.fulls`, then
-    runs every point of P^(k-1), a chunk at a time, through :func:`filter_by_fulls`.
-    Results follow the canonical point order.
+    runs one point of each orbit of the set's :func:`_negation_group` on P^(k-1),
+    a chunk at a time, through :func:`filter_by_fulls`, and returns the survivors'
+    orbits.  Results follow the canonical point order.
     """
-    field = ps.field
-    ps.fulls(budget)
-    survivors = []
-    for coords, digits in proj_chunks(field, ps.k, scan_chunk_rows(field, ps.n)):
-        survivors.extend(map(tuple, filter_by_fulls(ps, coords, digits).tolist()))
-    return survivors
+    field, k = ps.field, ps.k
+    odd = _negation_group(ps, budget)
+    found = [np.empty((0, k), dtype=np.int64)]
+    for coords, digits in proj_chunks(field, k, scan_chunk_rows(field, ps.n), odd):
+        found.append(filter_by_fulls(ps, coords, digits))
+    found = np.vstack(found)
+    if odd is not None:
+        encs = np.concatenate([coords_to_enc(found, field.q), negated_encs(field, found, odd)])
+        found = enc_to_coords(np.unique(encs), field.q, k)
+    return list(map(tuple, found.tolist()))
+
+
+def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | None:
+    """Walk the set's full hyperplanes (charged by :meth:`ProjPointSet.fulls`) and
+    return the ``odd`` coordinates of the negation D that permutes the set, or
+    None for the trivial group.
+
+    D (:func:`negation_odd`) acts so on an elliptic arc of a curve with
+    a1 = a2 = 0 (curves have odd characteristic).  It must then map the arc's
+    points and its walk onto themselves, or InvariantViolated is raised: a
+    filter of one point an orbit would otherwise answer for the images of
+    points it tested against a walk that D does not permute."""
+    field, k = ps.field, ps.k
+    odd = None
+    if ps.arc is ps and ps.curve.a1 == ps.curve.a2 == 0:
+        odd = negation_odd(field, k)
+        if not np.array_equal(np.sort(negated_encs(field, ps.coords, odd)), np.sort(ps.encs)):
+            raise InvariantViolated("the curve's negation does not permute the arc")
+    fulls = ps.fulls(budget)
+    if odd is not None:
+        images = negated_encs(field, enc_to_coords(fulls, field.q, k), odd)
+        if not np.array_equal(np.sort(images), fulls):
+            raise InvariantViolated("the curve's negation does not permute the walk")
+    return odd
 
 
 def _addable_among(ps: ProjPointSet, rows) -> list[tuple[int, ...]]:
@@ -555,6 +653,34 @@ def _minor_trie(field: Field, coords: np.ndarray, depth: int, step: int):
     return signed, level
 
 
+def _arc_windows(add: np.ndarray, neg: np.ndarray, sums: np.ndarray, k: int, n_arc: int,
+                 cap: int):
+    """Yield (tops, rests, lasts) of the walk's arc windows: for each arc top t < n_arc
+    in order, the ranks of the rests S with last = -(S + t) above t, and those
+    lasts.  Tops share a window until the next would take it past ``cap``
+    subsets; a window of one top, as one over ``cap`` is, yields it as an int."""
+    window = []
+
+    def merged():
+        tops, rests, lasts = zip(*window)
+        if len(tops) == 1:
+            return tops[0], rests[0], lasts[0]
+        return (np.repeat(tops, [len(r) for r in rests]), np.concatenate(rests),
+                np.concatenate(lasts))
+
+    size = 0
+    for top in range(k - 2, n_arc):
+        last = neg[add[sums[: math.comb(top, k - 2)], top]]
+        rest = np.flatnonzero(last > top)
+        if window and size + len(rest) > cap:
+            yield merged()
+            window, size = [], 0
+        window.append((top, rest, last[rest]))
+        size += len(rest)
+    if window:
+        yield merged()
+
+
 def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     """Sorted encodings (:func:`coords_to_enc`) of the duals of every k-secant
     (full) hyperplane.
@@ -568,7 +694,8 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
       hyperplane exactly when they sum to O.  For a top t in A a rest S is
       kept when last = -(S + t) lies above t, so each zero-sum k-subset gives
       its first k-1 points once: C(n_A, k-1) table lookups, one dual a kept
-      subset.
+      subset.  Consecutive tops share a window (:func:`_arc_windows`) of at
+      most ``scan_chunk_rows // 8`` subsets, or one top's when it keeps more.
     * A full hyperplane holding points of X is spanned by the subsets whose
       top lies in X, about |X| * C(n, k-2), in windows of ``scan_chunk_rows``.
       Rank-deficient ones contribute their whole pencil.
@@ -579,7 +706,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     set in exactly its k predicted points, or ArcPropertyViolated (more than
     k) or InvariantViolated is raised.  Memory: per (k-2)-subset its group sum
     (int32), k-2 members and C(k, k-2) trie minors (``min_scalar_type`` of n
-    and q - 1), plus one top's subsets.  Uncharged: see :meth:`ProjPointSet.walk`.
+    and q - 1), plus one window's subsets.  Uncharged: see :meth:`ProjPointSet.walk`.
     """
     field, k, n = ps.field, ps.k, ps.n
     n_arc = ps.arc.n if ps.arc is not None else 0
@@ -593,39 +720,37 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     signed, minors = _minor_trie(field, ps.coords, k - 2, step)
     w = ps.w_matrix
     arc_encs, x_encs = [], []
-    for top in range(k - 2, n):
-        on_arc, count = top < n_arc, math.comb(top, k - 2)
+    x_windows = ((top, np.arange(lo, min(lo + step, math.comb(top, k - 2))), None)
+                 for top in range(max(k - 2, n_arc), n)
+                 for lo in range(0, math.comb(top, k - 2), step))
+    arc_windows = _arc_windows(add, neg, sums, k, n_arc, step // 8) if n_arc else ()
+    for tops, rest, last in itertools.chain(arc_windows, x_windows):
+        on_arc = last is not None
+        subsets = np.column_stack([members[rest], np.broadcast_to(tops, len(rest))])
+        duals = _minors(field, signed[tops].T, minors[:, rest], k - 1)[::-1].T
+        singular = ~duals.any(axis=1)
+        if on_arc and singular.any():
+            raise InvariantViolated("k-1 arc points span less than a hyperplane")
+        found = [normalize_rows(field, duals[~singular])]
+        for sub in subsets[singular]:
+            basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
+            for mix in proj_reps(field, len(basis), 1 << 12):
+                combo = np.zeros((len(mix), k), dtype=np.int64)
+                for t in range(len(basis)):
+                    combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
+                found.append(normalize_rows(field, combo))
+        hyper = np.vstack(found)
+        mask = dot_zero_mask(field, hyper, w)
+        counts = mask.sum(axis=1)
+        if counts.max(initial=0) > k:
+            raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
         if on_arc:
-            last = neg[add[sums[:count], top]]
-            windows = [np.flatnonzero(last > top)]
+            predicted = np.column_stack([subsets, last])
+            if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
+                raise InvariantViolated("a group-law hyperplane misses its predicted points")
+            arc_encs.append(coords_to_enc(hyper, field.q))
         else:
-            windows = (np.arange(lo, min(lo + step, count)) for lo in range(0, count, step))
-        for rest in windows:
-            subsets = np.hstack([members[rest], np.full((len(rest), 1), top)])
-            duals = _minors(field, signed[top], minors[:, rest], k - 1)[::-1].T
-            singular = ~duals.any(axis=1)
-            if on_arc and singular.any():
-                raise InvariantViolated("k-1 arc points span less than a hyperplane")
-            found = [normalize_rows(field, duals[~singular])]
-            for sub in subsets[singular]:
-                basis = np.asarray(parity_check(field, ps.coords[sub]), dtype=np.int64)
-                for mix in proj_reps(field, len(basis), 1 << 12):
-                    combo = np.zeros((len(mix), k), dtype=np.int64)
-                    for t in range(len(basis)):
-                        combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
-                    found.append(normalize_rows(field, combo))
-            hyper = np.vstack(found)
-            mask = dot_zero_mask(field, hyper, w)
-            counts = mask.sum(axis=1)
-            if counts.max(initial=0) > k:
-                raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
-            if on_arc:
-                predicted = np.hstack([subsets, last[rest, None]])
-                if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
-                    raise InvariantViolated("a group-law hyperplane misses its predicted points")
-                arc_encs.append(coords_to_enc(hyper, field.q))
-            else:
-                x_encs.append(coords_to_enc(hyper[counts == k], field.q))
+            x_encs.append(coords_to_enc(hyper[counts == k], field.q))
     if x_encs:
         arc_encs.append(np.unique(np.concatenate(x_encs)))
     return np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
@@ -740,8 +865,10 @@ def complete_arc(ps: ProjPointSet, max_add: int, budget: Budget | None = None,
         pick, rest = addable[0], addable[1:]
         added.append(pick)
         current = current.with_point(pick)
-        if candidates is None:  # charged as the whole-space round it replaces
-            current.fulls(budget)
+        if candidates is None:
+            # charged as the whole-space round it replaces; the filter walks the
+            # set only when rest holds a point
+            current._charge_scan(budget)
             addable = _addable_among(current, rest)
         else:
             addable = addable_filter(current, rest, budget)

@@ -124,6 +124,35 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_budget_takes_integer_valued_literals(capsys):
+    # --budget was read by int(), so the README's own 5e9 exited 1
+    argv = ["arc", "--q", "7", "--curve", "0,0,0,0,2", "--k", "4", "--budget"]
+    outs = {}
+    for literal, value in (("5e9", 5 * 10**9), ("5000000000", 5 * 10**9), ("5E+9", 5 * 10**9),
+                           ("1e11", 10**11), ("100000000000", 10**11)):
+        code, out, err = run_cli(capsys, *argv, literal)
+        assert code == 0 and json.loads(out)["config"]["budget"] == value
+        outs.setdefault(value, set()).add(out)
+    assert [len(v) for v in outs.values()] == [1, 1]
+    for zero in ("0e3", "0e5000"):  # a zero budget refuses the scan
+        code, out, err = run_cli(capsys, *argv, zero)
+        assert code == 3 and "budget" in err
+    code, out, err = run_cli(capsys, *argv, "1e4300")  # 4301 digits, over the cap
+    assert code == 1 and "argument --budget" in err
+    code, out, err = run_cli(capsys, "classify", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3",
+                             "--budget", "2e6")
+    assert code == 0 and json.loads(out)["config"]["budget"] == 2 * 10**6
+
+
+@pytest.mark.parametrize("literal", ["1.5e0", "2.5", "-1", "-1e3", "nan", "inf", "5e9x", ""])
+def test_budget_refuses_fractional_and_negative_literals(capsys, literal):
+    for argv in (["arc", "--q", "7", "--curve", "0,0,0,0,2", "--k", "4"],
+                 ["classify", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3"]):
+        code, out, err = run_cli(capsys, *argv, "--budget", literal)
+        assert code == 1 and out == ""
+        assert "argument --budget" in err
+
+
 def test_oracle_agreement(capsys):
     code, out, err = run_cli(
         capsys, "oracle", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3", "--h", "1"

@@ -28,6 +28,7 @@ from ellnmds.geometry import (
     arc_make,
     complete_arc,
     coords_to_enc,
+    enc_to_coords,
     full_hyperplanes_via_subsets,
     incidence,
     pencil_tables,
@@ -708,3 +709,177 @@ def test_a_pencil_member_over_k_points_is_refused():
     ps = ProjPointSet(field_make(5), 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1)])
     with pytest.raises(ArcPropertyViolated):
         pencil_tables(ps)
+
+
+# ---- negation orbits ---------------------------------------------------------
+
+
+def _mixed_curves(field, count):
+    """``count`` nonsingular curves with (a1, a2) != 0, from a fixed seed."""
+    rng, out = np.random.default_rng(field.q), []
+    while len(out) < count:
+        coeffs = [int(c) for c in rng.integers(0, field.q, size=5)]
+        if coeffs[0] == coeffs[1] == 0:
+            continue
+        try:
+            curve = curve_make(field, coeffs)
+        except Singular:
+            continue
+        if curve.n >= 8:
+            out.append(curve)
+    return out
+
+
+def test_negation_signs_are_the_odd_y_degrees_of_psi():
+    # -(x, y) = (x, -y) on a1 = a2 = 0 models flips psi_i exactly when its
+    # Y-degree is odd: Y^s, X Y^s, X^2 Y^s for i = 3s, 3s + 2, 3s + 4
+    for q in (5, 7, 9, 121):
+        f = field_of_order(q)
+        odd = geometry.negation_odd(f, 12)
+        for i in range(2, 13):
+            s = i // 3 if i % 3 == 0 else (i - 2) // 3 if i % 3 == 2 else (i - 4) // 3
+            assert odd[i - 1] == (s % 2 == 1)
+            for x, y in ((3, 4), (2, 1)):
+                flipped = psi(f, i, x, f.neg(y))
+                assert flipped == (f.neg(psi(f, i, x, y)) if odd[i - 1] else psi(f, i, x, y))
+        assert geometry.negation_odd(f, 4).tolist() == [False, False, True, False]
+        assert geometry.negation_odd(f, 5).tolist() == [False, False, True, False, True]
+        assert geometry.negation_odd(f, 6).tolist() == [False, False, True, False, True, False]
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_orbit_chunks_hold_one_point_per_orbit(monkeypatch, cached):
+    # cached spaces yield one point an orbit; generated ones ignore the sign
+    # pattern and yield the whole space, which the orbit merge handles the same
+    if not cached:
+        monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
+    for q in (5, 7, 9, 11, 13, 25, 27):
+        field = field_of_order(q)
+        for k in (3, 4, 5):
+            if proj_space_size(q, k) > 40_000:
+                continue
+            odd = geometry.negation_odd(field, k)
+            everything = coords_to_enc(np.vstack(list(proj_reps(field, k))), q)
+            fixed = geometry.negated_encs(field, enc_to_coords(everything, q, k), odd) == everything
+            reps = np.vstack([c for c, _ in geometry.proj_chunks(field, k, 97, odd)])
+            encs = coords_to_enc(reps, q)
+            images = geometry.negated_encs(field, reps, odd)
+            assert np.array_equal(encs, np.unique(encs))  # canonical order, no repeats
+            assert np.array_equal(np.union1d(encs, images), everything)
+            if cached:
+                assert len(encs) == (len(everything) + fixed.sum()) // 2
+            else:
+                assert np.array_equal(encs, everything)
+
+
+def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
+    # arcs of a1 = a2 = 0 curves filter one point an orbit, the others every
+    # point; both must give the unsieved all-points reference from secant_scan
+    real, modes = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks",
+                        lambda *a: modes.append(len(a) == 4 and a[3] is not None) or real(*a))
+    for q in (5, 7, 9, 11, 13, 25, 27):
+        field = field_of_order(q)
+        short = [c for c in itertools.islice(curve_scan(field), 40) if c.n >= 8][:2]
+        for curve in short + _mixed_curves(field, 2 if q < 25 else 1):
+            for k in (3, 4, 5):
+                if k == 5 and q > 13 or k > curve.n - 1:
+                    continue
+                arc = arc_make(curve, k)
+                want = unsieved_addable(arc)
+                modes.clear()
+                assert addable_points(arc) == want
+                assert modes == [curve.a1 == curve.a2 == 0]
+    # one more pass over generated chunks, which hand every point to the filter
+    monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
+    for q in (7, 9):
+        curve = next(c for c in curve_scan(field_of_order(q)) if c.n >= 8)
+        for k in (3, 4):
+            arc = arc_make(curve, k)
+            assert addable_points(arc) == unsieved_addable(arc)
+
+
+def test_plain_and_extended_sets_filter_every_point(monkeypatch):
+    real, modes = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks",
+                        lambda *a: modes.append(len(a) == 4 and a[3] is not None) or real(*a))
+    arc = arc_make(curve_make(field_make(7), (0, 0, 0, 0, 2)), 4)
+    for ps in (ProjPointSet(arc.field, 4, arc.points), arc.with_point(addable_points(arc)[0])):
+        want = unsieved_addable(ps)
+        modes.clear()
+        assert addable_points(ps) == want
+        assert modes == [False]
+
+
+def _curve_with_full_orbits(q=13):
+    return next(c for c in curve_scan(field_make(q)) if c.n >= 14)
+
+
+def test_a_walk_missing_a_hyperplane_is_refused(monkeypatch):
+    # a walk short of a full hyperplane that D moves is not permuted by D, so
+    # the filter of one point an orbit must refuse it rather than answer for
+    # the images of the points it tested
+    curve = _curve_with_full_orbits()
+    real = geometry.full_hyperplanes_via_subsets
+    for k in (3, 4, 5):
+        fulls, odd = real(arc_make(curve, k)), geometry.negation_odd(curve.field, k)
+        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
+        for dropped in fulls[images != fulls][[0, -1]]:
+            monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                                lambda ps: np.setdiff1d(real(ps), [dropped]))
+            with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
+                addable_points(arc_make(curve, k))
+            monkeypatch.undo()
+
+
+def test_a_walk_missing_one_negation_image_is_refused(monkeypatch):
+    # the image of a full hyperplane swapped for a hyperplane outside the walk:
+    # the count holds, so only the check that D permutes the walk can refuse it
+    curve = _curve_with_full_orbits()
+    real = geometry.full_hyperplanes_via_subsets
+    for k in (3, 4, 5):
+        arc = arc_make(curve, k)
+        fulls, odd = real(arc), geometry.negation_odd(curve.field, k)
+        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
+        image = images[images != fulls][0]
+        outside = np.setdiff1d(np.arange(1, 13**k), fulls)[0]
+
+        def walk(ps, image=image, outside=outside):
+            out = real(ps)
+            return np.sort(np.where(out == image, outside, out))
+
+        monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets", walk)
+        fresh = arc_make(curve, k)
+        assert len(fresh.walk()) == len(fulls)
+        with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
+            addable_points(fresh)
+        monkeypatch.undo()
+
+
+def test_a_set_the_negation_does_not_permute_is_refused():
+    curve = _curve_with_full_orbits()
+    for k in (3, 4):
+        points = arc_make(curve, k).points
+        moved = next(i for i, pt in enumerate(points) if pt[2] != 0)  # y != 0
+        broken = geometry.EllipticArc(curve, k, points[:moved] + points[moved + 1:])
+        with pytest.raises(InvariantViolated, match="negation does not permute the arc"):
+            addable_points(broken)
+
+
+def test_completion_walks_only_sets_with_points_left_to_filter(monkeypatch):
+    # a point added with no other addable point left leaves nothing to filter:
+    # its set is charged as before but never walked.  On q = 7, (0,0,0,0,2),
+    # k = 4, the added point leaves 41 others, which only the walk of the
+    # extended set shows to be blocked
+    walked, real = [], geometry.full_hyperplanes_via_subsets
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                        lambda ps: walked.append(ps.n) or real(ps))
+    for q, coeffs, k, left in ((5, (0, 0, 0, 3, 0), 3, 0), (7, (0, 0, 0, 0, 2), 4, 41)):
+        curve = curve_make(field_make(q), coeffs)
+        assert len(addable_points(arc_make(curve, k))) == 1 + left
+        arc, budget = arc_make(curve, k), Budget(None)
+        walked.clear()
+        result = complete_arc(arc, 3, budget)
+        assert len(result.added) == 1 and result.complete
+        assert walked == [arc.n] + [arc.n + 1] * (left > 0)
+        assert budget.spent == proj_space_size(q, k) * (2 * arc.n + 1)

@@ -125,3 +125,16 @@ def test_the_pencil_sieve_runs_only_inside_the_candidate_filter():
     # pass its pencil sieve, then its set-point exclusion and zero tests
     assert [(func, in_loop) for _, func, in_loop in _calls("_pencil_sieve")] == [
         ("filter_by_fulls", False)]
+
+
+def test_orbit_selection_lives_in_the_chunk_walk():
+    # proj_chunks alone picks one point per negation orbit; the filter's
+    # caller only hands it the sign pattern
+    assert [func for _, func, _ in _calls("_orbit_index")] == ["proj_chunks"]
+
+
+def test_the_negation_signs_come_from_psi_at_one_site():
+    # the sign pattern is the Y-degree parity of the embedding's monomials,
+    # read off psi in negation_odd and asked for at one site, not written per k
+    assert {func for _, func, _ in _calls("psi")} == {"phi_k", "negation_odd"}
+    assert [func for _, func, _ in _calls("negation_odd")] == ["_negation_group"]
