@@ -36,7 +36,6 @@ from .curve import (  # noqa: F401
     EllipticCurve,
     curve_make,
     curve_scan,
-    j_invariant,
     nq1,
     short_curve,
 )

@@ -110,6 +110,8 @@ def cmd_curve_scan(args) -> int:
             return False
         return True
 
+    if args.max < 0:
+        raise ValueError("--max must be nonnegative (0: no limit)")
     curves = []
     for curve in curve_scan(field, summary_filter=keep):
         curves.append({"coeffs": list(curve.coeffs), "n": curve.n, "j": curve.j})
@@ -229,8 +231,7 @@ def cmd_oracle(args) -> int:
     field, curve = _field_and_curve(args)
     budget = _budget(args)
     code = generator_matrix(curve, args.k)
-    extendable = h_extendability_oracle(code, args.h, budget,
-                                        prefilter=not args.naive)
+    extendable = h_extendability_oracle(code, args.h, budget)
     payload = {
         "field": field.descriptor(),
         "curve": curve.to_json_dict(include_points=False),
@@ -316,11 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run outside the stated hypotheses")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("oracle", help="brute-force h-extendability")
+    p = sub.add_parser("oracle", help="h-extendability by chain search over added columns")
     common(p, k=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--naive", action="store_true",
-                   help="flat tuple search instead of the chain search")
     p.set_defaults(fn=cmd_oracle)
 
     return parser

@@ -26,7 +26,6 @@ from .gf import (  # noqa: F401  (parity_check is re-exported)
     linear_w_matrix,
     parity_check,
     rank_gf,
-    rref_gf,
 )
 from .geometry import (EllipticArc, arc_make, proj_chunks, proj_reps, proj_space_size,
                        scan_chunk_rows)
@@ -66,11 +65,6 @@ class LinearCode:
     @property
     def matrix(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-    def to_matrix_text(self) -> str:
-        head = f"{self.field.q} {len(self.rows)} {self.n}"
-        body = "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-        return head + "\n" + body + "\n"
 
     def __repr__(self):
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -291,29 +285,12 @@ def extend(code: LinearCode, column) -> LinearCode:
     return LinearCode(code.field, rows)
 
 
-def project_back(code: LinearCode, h: int) -> LinearCode:
-    if h < 0 or h >= code.n:
-        raise ValueError("cannot project away that many coordinates")
-    rows = [r[: code.n - h] for r in code.rows]
-    return LinearCode(code.field, rows)
-
-
-def same_code(a: LinearCode, b: LinearCode) -> bool:
-    if a.field != b.field or a.n != b.n:
-        return False
-    ra = rref_gf(a.field, a.rows)[0][: a.k]
-    rb = rref_gf(b.field, b.rows)[0][: b.k]
-    return ra == rb
-
-
-def h_extendability_oracle(code: LinearCode, h: int, budget: Budget | None = None,
-                           prefilter: bool = True) -> bool:
+def h_extendability_oracle(code: LinearCode, h: int, budget: Budget | None = None) -> bool:
     """Whether an [n+h, k, d+h] extension exists, by search over added columns.
 
     Columns are taken up to scalar (scaling a column never changes weights).
-    With ``prefilter`` the search walks only chains whose every prefix is
-    itself a valid extension, which is an exact reduction; without it the
-    whole tuple space is tried, which is only feasible for tiny q^k.
+    The search walks only chains whose every prefix is itself a valid
+    extension, which is an exact reduction of the whole tuple space.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -327,20 +304,7 @@ def h_extendability_oracle(code: LinearCode, h: int, budget: Budget | None = Non
     w = linear_w_matrix(field, reps)
     nonzero = ~dot_zero_mask(field, reps, w)  # (N_x, N_c) indicator of x.c != 0
     n_cols = nonzero.shape[1]
-    if prefilter:
-        budget.charge("extendability_chain_search", n_cols * h * len(weights))
-    else:
-        budget.charge("extendability_brute_force", (n_cols**h) * len(weights))
-
-    if not prefilter:
-        for tup in itertools.product(range(n_cols), repeat=h):
-            acc = weights.astype(np.int64).copy()
-            for c in tup:
-                acc += nonzero[:, c]
-            if int(acc[weights > 0].min()) == d + h:
-                return True
-        return False
-
+    budget.charge("extendability_chain_search", n_cols * h * len(weights))
     nz_mask = weights > 0
 
     def search(depth: int, acc: np.ndarray, start: int) -> bool:

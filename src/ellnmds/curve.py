@@ -335,12 +335,6 @@ def short_curve(field: Field, a: int, b: int, c: int) -> EllipticCurve:
     return EllipticCurve(field, (0, 0, a, b, c))
 
 
-def j_invariant(curve: EllipticCurve) -> int:
-    """The curve's isomorphism invariant; the verified claims only split on
-    whether it vanishes."""
-    return curve.j
-
-
 def nq1(q: int) -> int:
     """Largest rational point count of an elliptic curve over F_q.
 

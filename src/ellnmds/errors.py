@@ -121,14 +121,11 @@ class Budget:
             return 2**63 - 1
         return max(0, self.limit - self.spent)
 
-    def check(self, label: str, estimate: int) -> None:
-        if self.limit is not None and self.spent + int(estimate) > self.limit:
-            raise BudgetExceeded(label, int(estimate), self.remaining)
-
     def charge(self, label: str, estimate: int) -> None:
         if estimate < 0:
             raise InvariantViolated(f"{label}: negative cost estimate {int(estimate)}")
-        self.check(label, estimate)
+        if self.limit is not None and self.spent + int(estimate) > self.limit:
+            raise BudgetExceeded(label, int(estimate), self.remaining)
         self.spent += int(estimate)
 
 

@@ -61,10 +61,6 @@ class Frame:
     s: int
     t: int
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.u, self.r, self.s, self.t) == (1, 0, 0, 0)
-
     def to_json_dict(self) -> dict:
         return {"u": self.u, "r": self.r, "s": self.s, "t": self.t}
 
@@ -104,19 +100,6 @@ def transform_curve(curve: EllipticCurve, u: int, r: int, s: int, t: int) -> Ell
     if out.n != curve.n or out.j != curve.j:
         raise InvariantViolated("frame change altered the point count or the j-invariant")
     return out
-
-
-def map_point_to_frame(curve: EllipticCurve, frame: Frame, point):
-    """Image of a curve point under the frame substitution."""
-    if point is INFINITY:
-        return INFINITY
-    f = curve.field
-    x, y = point
-    iu2 = f.inv(f.mul(frame.u, frame.u))
-    iu3 = f.mul(iu2, f.inv(frame.u))
-    nx = f.mul(f.sub(x, frame.r), iu2)
-    ny = f.mul(f.sub(f.sub(y, f.mul(frame.s, f.sub(x, frame.r))), frame.t), iu3)
-    return (nx, ny)
 
 
 def _coordinate_sections(curve: EllipticCurve):
@@ -275,10 +258,6 @@ class WitnessContext:
             "affine_off_x0": system.admissible(require_affine=True, avoid=self._x0) & not_x0_line,
             "off_xy": system.admissible(avoid=self._xy),
         }
-
-    def is_arc_point(self, coords) -> bool:
-        enc = coords_to_enc(np.asarray([coords], dtype=np.int64), self.field.q)
-        return bool(np.isin(enc, self.arc.encs)[0])
 
     def witness(self, point) -> WitnessReport:
         batch = self.witnesses([point])

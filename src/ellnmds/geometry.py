@@ -24,7 +24,6 @@ from .errors import (
     ArcPropertyViolated,
     BadIndex,
     Budget,
-    BudgetExceeded,
     DimensionMismatch,
     DivisionByZero,
     InvariantViolated,
@@ -87,13 +86,6 @@ def normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
     if field.r == 1:
         return (coords * scale[:, None]) % field.p
     return field.mul_np(coords, scale[:, None])
-
-
-def incidence(field: Field, hyperplane, point) -> bool:
-    acc = 0
-    for h, x in zip(hyperplane, point):
-        acc = field.add(acc, field.mul(int(h), int(x)))
-    return acc == 0
 
 
 def coords_to_enc(coords: np.ndarray, q: int) -> np.ndarray:
@@ -311,15 +303,6 @@ class ProjPointSet:
         """Extended copy that keeps the leading arc, so full-hyperplane
         enumeration still runs the group law on the arc's points."""
         return ProjPointSet(self.field, self.k, [*self.points, coords], arc=self.arc)
-
-    def secant_count(self, hyperplane) -> int:
-        h = normalize_points(self.field, self.k, [hyperplane])
-        return int(dot_zero_mask(self.field, h, self.w_matrix).sum())
-
-    def incident_points(self, hyperplane) -> list[tuple[int, ...]]:
-        h = normalize_points(self.field, self.k, [hyperplane])
-        mask = dot_zero_mask(self.field, h, self.w_matrix)[0]
-        return [self.points[i] for i in np.flatnonzero(mask)]
 
     def _charge_scan(self, budget: Budget | None) -> None:
         """Charge ``hyperplane_scan`` at a whole-space scan's estimate once per set, whichever
@@ -774,60 +757,6 @@ def addable_filter(ps: ProjPointSet, candidates,
     cand = cand[np.argsort(coords_to_enc(cand, field.q), kind="stable")]
     budget.charge("subset_span_scan", math.comb(n, k - 1) * (n + k * (k - 1) ** 2))
     return _addable_among(ps, cand)
-
-
-def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = None) -> int:
-    """Longest chain of point additions preserving the section bound.
-
-    Exact geometric counterpart of h-extendability: a chain step may add any
-    point of the ambient space, repeats included, provided no hyperplane then
-    collects more than k points counted with multiplicity.  Greedy completion
-    can stop early (different choices complete at different sizes), so this
-    maximum, not the greedy count, is what matches the code-level oracle.
-    Only feasible for small ambient spaces.
-    """
-    budget = ensure_budget(budget)
-    field, k = ps.field, ps.k
-    cached = proj_reps_cached(field, k)
-    if cached is None:
-        raise BudgetExceeded("max_extension_chain", proj_space_size(field.q, k), 0)
-    reps, reps_digits = cached
-    space = len(reps)
-    budget.charge("extension_chain", space * (ps.n + limit) * (limit + 1) * 8)
-    base_cols = ps.coords
-    w_reps = linear_w_matrix(field, reps)
-    memo: dict[tuple, int] = {}
-
-    def explore(extra: tuple, depth: int) -> int:
-        if depth == limit:
-            return 0
-        key = tuple(sorted(extra))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cols = base_cols
-        if extra:
-            cols = np.vstack([base_cols, enc_to_coords(np.array(key), field.q, k)])
-        w = linear_w_matrix(field, cols)
-        counts = dot_zero_mask_digits(field, reps_digits, w).sum(axis=1)
-        if counts.max(initial=0) > k:
-            raise ArcPropertyViolated("multiset section bound exceeded inside a chain")
-        fulls = reps[counts == k]
-        if len(fulls):
-            blocked = dot_zero_mask(field, fulls, w_reps).any(axis=0)
-            addable = reps[~blocked]
-        else:
-            addable = reps
-        best = 0
-        for row in addable:
-            enc = int(coords_to_enc(row[None, :], field.q)[0])
-            best = max(best, 1 + explore(extra + (enc,), depth + 1))
-            if best == limit - depth:
-                break
-        memo[key] = best
-        return best
-
-    return explore((), 0)
 
 
 @dataclass

@@ -266,9 +266,6 @@ class Field:
     def digits(self, a: int) -> list[int]:
         return _int_digits(a, self.p, self.r)
 
-    def undigits(self, c: list[int]) -> int:
-        return _digits_int([x % self.p for x in c], self.p)
-
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a + b) % self.p

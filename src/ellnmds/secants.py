@@ -30,7 +30,7 @@ import numpy as np
 from .curve import INFINITY, EllipticCurve
 from .errors import DimensionMismatch, InvariantViolated, PointOnCurve
 from .geometry import coords_to_enc, normalize_coords, normalize_points, normalize_rows
-from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim, rank_gf
+from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim
 
 KIND_SPARSE = "sparse"
 KIND_TANGENT = "tangent"
@@ -47,10 +47,6 @@ class LineMeet:
     points: tuple  # ((x, y) or INFINITY, multiplicity) pairs
     vertical: bool
     at_infinity: bool
-
-    @property
-    def multiplicity_sum(self) -> int:
-        return sum(m for _, m in self.points)
 
 
 @dataclass
@@ -188,32 +184,6 @@ def point_on_curve(curve: EllipticCurve, point) -> bool:
     if p1 == 0:
         return (p1, p2, p3) == (0, 0, 1)
     return curve.is_on_curve(p2, p3)
-
-
-def lines_through(field, point):
-    """All q+1 normalized line duals through a projective plane point."""
-    p = _plane_point(field, point)
-    # cross products with the unit vectors span the orthogonal plane
-    candidates = [
-        (0, field.neg(p[2]), p[1]),
-        (p[2], 0, field.neg(p[0])),
-        (field.neg(p[1]), p[0], 0),
-    ]
-    basis = []
-    for cand in candidates:
-        if any(cand) and rank_gf(field, basis + [list(cand)]) == len(basis) + 1:
-            basis.append(list(cand))
-        if len(basis) == 2:
-            break
-    mix = np.array([(0, 1)] + [(1, b) for b in range(field.q)], dtype=np.int64)
-    u, v = np.array(basis, dtype=np.int64)
-    combos = field.add_np(field.mul_np(mix[:, :1], u), field.mul_np(mix[:, 1:], v))
-    duals = normalize_rows(field, combos)
-    encs = coords_to_enc(duals, field.q)
-    distinct = len(set(encs.tolist()))
-    if distinct != field.q + 1:
-        raise InvariantViolated(f"pencil of {distinct} lines, expected {field.q + 1}")
-    return list(map(tuple, duals[np.argsort(encs)].tolist()))
 
 
 # ---- closure tangency via the slope discriminant ---------------------------

@@ -1,0 +1,161 @@
+"""Independent references that the tests compare the library against.
+
+Nothing in the package calls these; each is a plainer or slower route to a
+result the library computes another way:
+
+* :func:`incidence` is a scalar dot product of a hyperplane and a point;
+* :func:`lines_through` builds a pencil of plane lines from two spanning duals;
+* :func:`map_point_to_frame` moves one curve point through a frame substitution;
+* :func:`max_extension_chain` is the exact geometric counterpart of
+  h-extendability, a search over chains of added points;
+* :func:`h_extendable_brute_force` tries every h-tuple of added columns.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from ellnmds.curve import INFINITY, EllipticCurve
+from ellnmds.errors import (
+    ArcPropertyViolated,
+    Budget,
+    BudgetExceeded,
+    InvariantViolated,
+    ensure_budget,
+)
+from ellnmds.extendability import Frame
+from ellnmds.geometry import (
+    ProjPointSet,
+    coords_to_enc,
+    enc_to_coords,
+    normalize_rows,
+    proj_reps,
+    proj_reps_cached,
+    proj_space_size,
+)
+from ellnmds.gf import Field, dot_zero_mask, dot_zero_mask_digits, linear_w_matrix, rank_gf
+from ellnmds.secants import _plane_point
+
+
+def incidence(field: Field, hyperplane, point) -> bool:
+    acc = 0
+    for h, x in zip(hyperplane, point):
+        acc = field.add(acc, field.mul(int(h), int(x)))
+    return acc == 0
+
+
+def lines_through(field, point):
+    """All q+1 normalized line duals through a projective plane point."""
+    p = _plane_point(field, point)
+    # cross products with the unit vectors span the orthogonal plane
+    candidates = [
+        (0, field.neg(p[2]), p[1]),
+        (p[2], 0, field.neg(p[0])),
+        (field.neg(p[1]), p[0], 0),
+    ]
+    basis = []
+    for cand in candidates:
+        if any(cand) and rank_gf(field, basis + [list(cand)]) == len(basis) + 1:
+            basis.append(list(cand))
+        if len(basis) == 2:
+            break
+    mix = np.array([(0, 1)] + [(1, b) for b in range(field.q)], dtype=np.int64)
+    u, v = np.array(basis, dtype=np.int64)
+    combos = field.add_np(field.mul_np(mix[:, :1], u), field.mul_np(mix[:, 1:], v))
+    duals = normalize_rows(field, combos)
+    encs = coords_to_enc(duals, field.q)
+    distinct = len(set(encs.tolist()))
+    if distinct != field.q + 1:
+        raise InvariantViolated(f"pencil of {distinct} lines, expected {field.q + 1}")
+    return list(map(tuple, duals[np.argsort(encs)].tolist()))
+
+
+def map_point_to_frame(curve: EllipticCurve, frame: Frame, point):
+    """Image of a curve point under the frame substitution."""
+    if point is INFINITY:
+        return INFINITY
+    f = curve.field
+    x, y = point
+    iu2 = f.inv(f.mul(frame.u, frame.u))
+    iu3 = f.mul(iu2, f.inv(frame.u))
+    nx = f.mul(f.sub(x, frame.r), iu2)
+    ny = f.mul(f.sub(f.sub(y, f.mul(frame.s, f.sub(x, frame.r))), frame.t), iu3)
+    return (nx, ny)
+
+
+def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = None) -> int:
+    """Longest chain of point additions preserving the section bound.
+
+    Exact geometric counterpart of h-extendability: a chain step may add any
+    point of the ambient space, repeats included, provided no hyperplane then
+    collects more than k points counted with multiplicity.  Greedy completion
+    can stop early (different choices complete at different sizes), so this
+    maximum, not the greedy count, is what matches the code-level oracle.
+    Only feasible for small ambient spaces.
+    """
+    budget = ensure_budget(budget)
+    field, k = ps.field, ps.k
+    cached = proj_reps_cached(field, k)
+    if cached is None:
+        raise BudgetExceeded("max_extension_chain", proj_space_size(field.q, k), 0)
+    reps, reps_digits = cached
+    space = len(reps)
+    budget.charge("extension_chain", space * (ps.n + limit) * (limit + 1) * 8)
+    base_cols = ps.coords
+    w_reps = linear_w_matrix(field, reps)
+    memo: dict[tuple, int] = {}
+
+    def explore(extra: tuple, depth: int) -> int:
+        if depth == limit:
+            return 0
+        key = tuple(sorted(extra))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        cols = base_cols
+        if extra:
+            cols = np.vstack([base_cols, enc_to_coords(np.array(key), field.q, k)])
+        w = linear_w_matrix(field, cols)
+        counts = dot_zero_mask_digits(field, reps_digits, w).sum(axis=1)
+        if counts.max(initial=0) > k:
+            raise ArcPropertyViolated("multiset section bound exceeded inside a chain")
+        fulls = reps[counts == k]
+        if len(fulls):
+            blocked = dot_zero_mask(field, fulls, w_reps).any(axis=0)
+            addable = reps[~blocked]
+        else:
+            addable = reps
+        best = 0
+        for row in addable:
+            enc = int(coords_to_enc(row[None, :], field.q)[0])
+            best = max(best, 1 + explore(extra + (enc,), depth + 1))
+            if best == limit - depth:
+                break
+        memo[key] = best
+        return best
+
+    return explore((), 0)
+
+
+def h_extendable_brute_force(code, h: int) -> bool:
+    """Whether an [n+h, k, d+h] extension exists, by trying every h-tuple of
+    added columns up to scalar; only feasible for tiny q^k.
+
+    The weights, one codeword per projective class of messages, and d come
+    from this function's own enumeration against the code's columns.
+    """
+    field = code.field
+    reps = np.vstack(list(proj_reps(field, len(code.rows))))
+    weights = (~dot_zero_mask(field, reps, linear_w_matrix(field, code.matrix.T))).sum(axis=1)
+    d = int(weights[weights > 0].min())
+    nonzero = ~dot_zero_mask(field, reps, linear_w_matrix(field, reps))  # x.c != 0
+    n_cols = nonzero.shape[1]
+    for tup in itertools.product(range(n_cols), repeat=h):
+        acc = weights.astype(np.int64).copy()
+        for c in tup:
+            acc += nonzero[:, c]
+        if int(acc[weights > 0].min()) == d + h:
+            return True
+    return False

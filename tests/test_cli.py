@@ -188,6 +188,16 @@ def test_curve_scan_filters(capsys):
     assert all(c["j"] == 0 for c in doc["curves"])
 
 
+def test_curve_scan_refuses_a_negative_max_and_reads_zero_as_no_limit(capsys):
+    # --max -1 once printed one curve and exited 0
+    code, out, err = run_cli(capsys, "curve-scan", "--q", "5", "--max", "-1")
+    assert code == 1 and out == ""
+    assert "--max must be nonnegative" in err
+    _, out, _ = run_cli(capsys, "curve-scan", "--q", "5", "--max", "0")
+    _, every, _ = run_cli(capsys, "curve-scan", "--q", "5")
+    assert out == every and json.loads(out)["count"] > 1
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "classify", "--q", "5")
     assert code == 1

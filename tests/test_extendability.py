@@ -26,7 +26,6 @@ from ellnmds.extendability import (
     choose_frame,
     frame_conditions,
     k5_candidates,
-    map_point_to_frame,
     transform_curve,
     verify_main_theorem,
     verify_zero_j_theorem,
@@ -35,12 +34,12 @@ from ellnmds.geometry import (
     addable_filter,
     arc_make,
     coords_to_enc,
-    incidence,
     normalize_coords,
     phi_k,
 )
 from ellnmds.gf import field_make, field_of_order, linear_w_matrix
 from ellnmds.secants import line_meet, KIND_TRISECANT
+from reference import incidence, map_point_to_frame
 
 
 def f121_first_j_nonzero():
@@ -107,7 +106,7 @@ def test_choose_frame_identity_when_conditions_hold():
             continue
         if frame_conditions(curve)[0]:
             framed, frame = choose_frame(curve)
-            assert frame.is_identity and framed is curve
+            assert frame == Frame(1, 0, 0, 0) and framed is curve
             break
     else:
         pytest.skip("no pre-framed curve among the leading scans")
@@ -195,7 +194,7 @@ def test_witness_reports_verify(k):
         if not row.any():
             continue
         pt = normalize_coords(field, [int(v) for v in row])
-        if ctx.is_arc_point(pt) or pt in cand_set:
+        if pt in ctx.arc.points or pt in cand_set:
             continue
         report = ctx.witness(pt)
         assert report.q_point == pt
@@ -362,7 +361,7 @@ def test_witness_planar_line_is_a_trisecant_by_exact_factorisation(k, data):
     coords = data.draw(st.lists(st.integers(0, field.q - 1), min_size=k, max_size=k))
     assume(any(coords))
     point = normalize_coords(field, coords)
-    assume(not ctx.is_arc_point(point))
+    assume(point not in ctx.arc.points)
     try:
         report = ctx.witness(point)
     except NoWitnessFound:

@@ -30,7 +30,6 @@ from ellnmds.geometry import (
     coords_to_enc,
     enc_to_coords,
     full_hyperplanes_via_subsets,
-    incidence,
     pencil_tables,
     normalize_coords,
     normalize_points,
@@ -42,6 +41,7 @@ from ellnmds.geometry import (
     secant_scan,
 )
 from ellnmds.gf import dot_zero_mask, field_make, field_of_order, linear_w_matrix, parity_check
+from reference import incidence
 
 
 # ---- independent oracles for prime fields (no library arithmetic) ----------
@@ -131,13 +131,17 @@ def test_arc_f5_cubic_plus_one():
         arc_make(curve, 2)
 
 
+def _incident_mask(ps, hyperplane):
+    return dot_zero_mask(ps.field, normalize_points(ps.field, ps.k, [hyperplane]), ps.w_matrix)[0]
+
+
 def test_secant_count_last_coordinate_plane():
     f5 = field_make(5)
     arc = arc_make(short_curve(f5, 0, 0, 1), 3)
-    h = (0, 0, 1)
     nonzero_last = sum(1 for pt in arc.points if pt[-1] != 0)
-    assert arc.secant_count(h) == arc.n - nonzero_last
-    assert arc.secant_count((1, 0, 0)) == len(arc.incident_points((1, 0, 0)))
+    assert _incident_mask(arc, (0, 0, 1)).sum() == arc.n - nonzero_last
+    on_first = [pt for pt in arc.points if pt[0] == 0]
+    assert [arc.points[i] for i in np.flatnonzero(_incident_mask(arc, (1, 0, 0)))] == on_first
 
 
 def test_normalization_and_incidence_invariance():
@@ -509,13 +513,12 @@ def test_point_set_rejects_duplicates_and_dimension():
     f = field_make(5)
     with pytest.raises(ValueError):
         ProjPointSet(f, 3, [(1, 0, 0), (2, 0, 0)])
-    ps = ProjPointSet(f, 3, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(Exception):
-        ps.secant_count((1, 0, 0, 0))
     with pytest.raises(DimensionMismatch):
         ProjPointSet(f, 3, [(1, 0, 0, 0)])
-    with pytest.raises(DimensionMismatch):
-        ps.incident_points((1, 0))
+    # a hyperplane of the wrong width, as the zero test's rows are checked
+    for hyperplane in [(1, 0, 0, 0), (1, 0)]:
+        with pytest.raises(DimensionMismatch):
+            normalize_points(f, 3, [hyperplane])
 
 
 def test_a_point_set_walks_once_and_shares_read_only_results(monkeypatch):

@@ -144,7 +144,7 @@ def test_encoding_roundtrip():
     for p, r in [(5, 1), (3, 4), (11, 2), (2, 10)]:
         f = field_make(p, r)
         for a in range(0, f.q, max(1, f.q // 257)):
-            assert f.undigits(f.digits(a)) == a
+            assert sum(c * p**i for i, c in enumerate(f.digits(a))) == a
         arr = np.arange(f.q, dtype=np.int64)
         assert np.array_equal(f.undigits_np(f.digits_np(arr)), arr)
 

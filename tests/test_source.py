@@ -1,6 +1,9 @@
 import ast
 import pathlib
 
+import ellnmds
+from ellnmds.cli import main
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ellnmds"
 
 
@@ -62,11 +65,50 @@ def _calls(name):
     return out
 
 
-def test_only_the_chunk_walk_and_the_chain_search_read_the_reps_cache():
+def test_only_the_chunk_walk_reads_the_reps_cache():
     # every scan of P^{k-1} goes through geometry.proj_chunks, which decides
     # between cache slices and generated chunks in one place
     callers = {func for _, func, _ in _calls("proj_reps_cached")}
-    assert callers == {"proj_chunks", "max_extension_chain"}
+    assert callers == {"proj_chunks"}
+
+
+# wrappers the tests replace with the public call they wrapped, and references
+# that live in tests/reference.py: the library defines none of them
+_TEST_ONLY = {"secant_count", "incident_points", "is_arc_point", "is_identity",
+              "multiplicity_sum", "undigits", "project_back", "same_code", "to_matrix_text",
+              "j_invariant", "incidence", "lines_through", "map_point_to_frame",
+              "max_extension_chain"}
+
+
+def test_the_library_defines_no_test_only_code():
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _TEST_ONLY
+    ]
+    assert found == []
+    assert _TEST_ONLY.isdisjoint(vars(ellnmds))
+    assert not hasattr(ellnmds.Budget, "check")  # folded into Budget.charge
+
+
+def test_the_oracle_has_one_search():
+    # the chain search is the one oracle; the flat tuple search is the tests'
+    # reference (reference.h_extendable_brute_force), not a parameter
+    tree = ast.parse((SRC / "code.py").read_text())
+    oracle = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "h_extendability_oracle")
+    args = oracle.args
+    assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == [
+        "code", "h", "budget"]
+
+
+def test_the_oracle_command_has_no_naive_switch(capsys):
+    argv = ["oracle", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3", "--h", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--naive"]) == 1
+    assert "unrecognized arguments: --naive" in capsys.readouterr().err
 
 
 def test_normalize_coords_is_never_called_per_point():
