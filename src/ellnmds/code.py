@@ -1,15 +1,15 @@
 """Linear codes over F_q from generator matrices.
 
-Parameters [n, k, d], dual distance, Singleton defects and the
-MDS / NMDS / AMDS classification.  Codes built from curve embeddings keep a
-reference to their arc, whose group law fixes the hyperplane sections and so,
-independently, the weights (n minus a codeword's section); whenever both routes
-run their section histograms are compared and a mismatch is a hard error.
+Parameters [n, k, d], dual distance (by MacWilliams for every code), Singleton
+defects and the MDS / NMDS / AMDS classification.  Codes built from curve
+embeddings keep a reference to their arc, whose group law fixes the hyperplane
+sections and so, independently, the weights (n minus a codeword's section);
+whenever both routes run their section histograms are compared and a mismatch
+is a hard error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,7 +59,6 @@ class LinearCode:
         self.arc = arc
         self._d = None
         self._weights = None
-        self._d_dual = None
         self._d_paths = None
 
     @property
@@ -72,9 +71,11 @@ class LinearCode:
 
 def parse_matrix_text(text: str) -> LinearCode:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("matrix text is empty: expected a 'q k n' header and k rows")
     q, k, n = (int(t) for t in lines[0].split())
     field = field_of_order(q)
-    rows = [[int(t) for t in ln.split()] for ln in lines[1 : k + 1]]
+    rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
     if len(rows) != k or any(len(r) != n for r in rows):
         raise ValueError("matrix body does not match declared shape")
     return LinearCode(field, rows)
@@ -186,40 +187,20 @@ def macwilliams_transform(a: list[int], n: int, k: int, q: int) -> list[int]:
     return b
 
 
-def dual_min_distance_from_distribution(code: LinearCode, budget: Budget | None = None) -> int:
-    b = macwilliams_transform(weight_distribution(code, budget), code.n, code.k, code.field.q)
-    for j in range(1, code.n + 1):
-        if b[j]:
-            return j
-    raise InvariantViolated("dual code has no nonzero word")
-
-
 def dual_min_distance(code: LinearCode, budget: Budget | None = None) -> int | None:
-    """Smallest size of a linearly dependent set of columns of G.
+    """Smallest nonzero weight of the dual code, from the MacWilliams transform
+    of the weight distribution; None when n == k, whose dual is the zero code.
 
-    Subset-rank search with early exit, sizes 1 through k+1.  Returns None
-    for full-length-rank codes (n == k) whose dual is the zero code.
-    """
-    if code._d_dual is not None:
-        return code._d_dual
-    budget = ensure_budget(budget)
-    field = code.field
-    cols = code.matrix.T.tolist()
+    A code without an arc is charged ``dual_subset_rank``, the sum of C(n, s)
+    over s <= k + 1, an estimate that recorded budgets and reports rely on."""
     n, k = code.n, code.k
     if n == k:
         return None
-    top = min(k + 1, n)
-    budget.charge("dual_subset_rank", sum(math.comb(n, s) for s in range(1, top + 1)))
-    for size in range(1, top + 1):
-        if size == k + 1:
-            code._d_dual = size  # any k+1 columns in a rank-k space are dependent
-            return size
-        for sub in itertools.combinations(range(n), size):
-            if rank_gf(field, [cols[i] for i in sub]) < size:
-                code._d_dual = size
-                return size
-    code._d_dual = top
-    return top
+    budget = ensure_budget(budget)
+    if code.arc is None:
+        budget.charge("dual_subset_rank", sum(math.comb(n, s) for s in range(1, min(k + 1, n) + 1)))
+    b = macwilliams_transform(weight_distribution(code, budget), n, k, code.field.q)
+    return next(j for j in range(1, n + 1) if b[j])  # b sums to q^(n-k) > 1
 
 
 @dataclass
@@ -245,15 +226,10 @@ class Classification:
 
 
 def classify(code: LinearCode, budget: Budget | None = None) -> Classification:
-    """Singleton defects of the code and its dual, and the derived label; an
-    arc code takes its dual distance from the MacWilliams transform."""
+    """Singleton defects of the code and its dual, and the derived label."""
     budget = ensure_budget(budget)
     d = min_distance(code, budget)
-    if code.arc is not None and code.k == len(code.rows):
-        d_dual = dual_min_distance_from_distribution(code, budget)
-        code._d_dual = code._d_dual or d_dual
-    else:
-        d_dual = dual_min_distance(code, budget)
+    d_dual = dual_min_distance(code, budget)
     s = code.n - code.k + 1 - d
     if not 0 <= s <= max(0, code.n - code.k):
         raise InvariantViolated(f"Singleton bound violated: defect {s}")

@@ -40,6 +40,7 @@ from .geometry import (
     arc_make,
     complete_arc,
     coords_to_enc,
+    enc_to_coords,
     normalize_points,
     normalize_rows,
 )
@@ -302,7 +303,6 @@ class WitnessContext:
         planar point; records misses and returns the rows with a line and
         its duals (a, b, c), shape (R, 3)."""
         system = self.system
-        q = self.field.q
         best = system.first_trisecants(system.pencils(normalize_rows(self.field, planar)),
                                        self._lines[lines])
         hit = best >= 0
@@ -311,8 +311,7 @@ class WitnessContext:
         batch.case[rows] = tags[hit] if np.ndim(tags) else tags
         batch.secant_ids[rows, : len(base)] = base
         batch.secant_ids[rows, len(base):] = system.tri[best]
-        enc = system.dual_enc[best]
-        return rows, np.stack([enc // (q * q), enc // q % q, enc % q], axis=1)
+        return rows, enc_to_coords(system.dual_enc[best], self.field.q, 3)
 
     def _check(self, points, hyper, secant):
         field, k = self.field, self.arc.k

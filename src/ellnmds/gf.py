@@ -6,12 +6,15 @@ modulo the field modulus.  The modulus is pinned to the lexicographically
 smallest monic irreducible of degree r over F_p (coefficients compared from
 degree 0 upward), so encodings are reproducible across runs.
 
-Scalar operations work on the integer encodings.  Vector operations accept
+Scalar operations work on the integer encodings, through the vector
+operations where a field has no scalar table.  Vector operations accept
 numpy integer arrays and are table-driven for small fields: the exp/log
-tables come from one digit-convolution multiply, and the product, inverse
-and square-root tables are derived from them by vector code.  Polynomials
-over a field (coefficient lists) have one toolkit here, used for the modulus
-search and by the tangent and root computations in :mod:`ellnmds.secants`.
+tables come from one digit-convolution multiply, and the product and inverse
+tables are derived from them by vector code.  Square roots and the residue
+test, scalar or vector, read one square-root table of every field, built by
+squaring each element.  Polynomials over a field (coefficient lists) have one
+toolkit here, used for the modulus search and by the tangent and root
+computations in :mod:`ellnmds.secants`.
 The digit-level matrix product helpers at the bottom turn bulk dot products
 over F_q into a single exact floating-point matmul over the prime subfield,
 which is what the projective scans elsewhere in the package run on.
@@ -86,13 +89,6 @@ def _int_digits(e: int, p: int, r: int) -> list[int]:
         out.append(e % p)
         e //= p
     return out
-
-
-def _digits_int(c: list[int], p: int) -> int:
-    e = 0
-    for d in reversed(c):
-        e = e * p + d
-    return e
 
 
 # ---- polynomials over a field ------------------------------------------------
@@ -263,24 +259,19 @@ class Field:
 
     # ---- scalar operations ----------------------------------------------
 
-    def digits(self, a: int) -> list[int]:
-        return _int_digits(a, self.p, self.r)
-
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a + b) % self.p
         if self._add_list is not None:
             return self._add_list[a][b]
-        return _digits_int(
-            [(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))], self.p
-        )
+        return int(self.add_np(a, b))
 
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
         if self._neg_list is not None:
             return self._neg_list[a]
-        return _digits_int([(-x) % self.p for x in self.digits(a)], self.p)
+        return int(self.neg_np(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -322,57 +313,14 @@ class Field:
         """Quadratic residue test; zero counts as a square.  Odd order only."""
         if self.q % 2 == 0:
             raise EvenCharacteristic("squareness needs odd field order")
-        if a == 0:
-            return True
-        if self.log is not None:
-            return self.log[a] % 2 == 0
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return bool(self.sqrt_table_np[a] >= 0)
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a, the one with the smaller encoding, or None."""
         if self.q % 2 == 0:
             raise EvenCharacteristic("sqrt needs odd field order")
-        if a == 0:
-            return 0
-        if self.log is not None:
-            la = self.log[a]
-            if la % 2:
-                return None
-            root = self.exp[la // 2]
-        else:
-            root = self._tonelli_shanks(a)
-            if root is None:
-                return None
-        return min(root, self.neg(root))
-
-    def _tonelli_shanks(self, a: int) -> int | None:
-        if not self.is_square(a):
-            return None
-        q1 = self.q - 1
-        s = 0
-        m = q1
-        while m % 2 == 0:
-            m //= 2
-            s += 1
-        z = 2
-        while z < self.q and self.is_square(z):
-            z += 1
-        c = self.pow(z, m)
-        t = self.pow(a, m)
-        root = self.pow(a, (m + 1) // 2)
-        e = s
-        while t != 1:
-            i = 1
-            tt = self.mul(t, t)
-            while tt != 1:
-                tt = self.mul(tt, tt)
-                i += 1
-            b = self.pow(c, 1 << (e - i - 1))
-            root = self.mul(root, b)
-            c = self.mul(b, b)
-            t = self.mul(t, c)
-            e = i
-        return root
+        root = int(self.sqrt_table_np[a])
+        return None if root < 0 else root
 
     def descriptor(self) -> dict:
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .curve import INFINITY, EllipticCurve
 from .errors import DimensionMismatch, InvariantViolated, PointOnCurve
-from .geometry import coords_to_enc, normalize_coords, normalize_points, normalize_rows
+from .geometry import coords_to_enc, enc_to_coords, normalize_coords, normalize_points, normalize_rows
 from .gf import _padd, _pdeg, _pderiv, _pdivmod, _pgcd, _pmul, _pscale, _psub, _ptrim
 
 KIND_SPARSE = "sparse"
@@ -428,8 +428,7 @@ class LineSystem:
         return self.short_dual_to_id(_short_dual(self.curve, _plane_point(self.curve.field, dual_orig)))
 
     def id_to_dual(self, line_id: int) -> tuple[int, int, int]:
-        a, bc = divmod(int(self.dual_enc[line_id]), self.q * self.q)
-        return (a,) + divmod(bc, self.q)
+        return tuple(enc_to_coords(self.dual_enc[line_id], self.q, 3).tolist())
 
     def kind_of(self, dual_orig) -> str:
         return _KIND_BY_CODE[int(self.kind[self.dual_to_id(dual_orig)])]

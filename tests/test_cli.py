@@ -52,6 +52,21 @@ def test_classify_matrix_file(tmp_path, capsys):
     assert doc["n"] == 4 and doc["k"] == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "ValueError: matrix text is empty"),
+    ("\n  \n", "ValueError: matrix text is empty"),
+    # one declared row and two given: the second row was dropped, and the
+    # [3,1,3] code of the first was classified
+    ("5 1 3\n1 2 3\n4 4 4\n", "ValueError: matrix body does not match declared shape"),
+])
+def test_classify_matrix_refuses_a_malformed_file(tmp_path, capsys, text, message):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", "--matrix", str(path))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_arc_report(capsys):
     code, out, err = run_cli(
         capsys, "arc", "--q", "5", "--curve", "0,0,0,0,1", "--k", "3",

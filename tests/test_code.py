@@ -9,11 +9,11 @@ from ellnmds.code import (
     _codeword_weights,
     LABEL_MDS,
     LABEL_NMDS,
+    LABEL_OTHER,
     Classification,
     LinearCode,
     classify,
     dual_min_distance,
-    dual_min_distance_from_distribution,
     extend,
     generator_matrix,
     h_extendability_oracle,
@@ -26,8 +26,8 @@ from ellnmds.code import (
     weight_distribution,
 )
 from ellnmds.curve import curve_scan, short_curve
-from ellnmds.errors import Budget, KOutOfRange
-from ellnmds.geometry import addable_points
+from ellnmds.errors import Budget, BudgetExceeded, KOutOfRange
+from ellnmds.geometry import addable_points, proj_space_size
 from ellnmds.gf import field_make, field_of_order
 from reference import h_extendable_brute_force, max_extension_chain
 
@@ -74,6 +74,19 @@ def test_min_distance_identity_code():
     assert min_distance(code) == 1
     cls = classify(code)
     assert cls.label == LABEL_MDS and cls.s == 0
+    assert dual_min_distance(code) is None and cls.d_dual is None and cls.s_dual is None
+
+
+def test_group_law_distance_stands_alone_when_enumeration_is_refused():
+    curve = short_curve(field_make(7), 0, 5, 1)
+    d = min_distance(generator_matrix(curve, 3))
+    code = generator_matrix(curve, 3)
+    code.arc.secant_profile()  # the group-law profile, charged to a throwaway budget
+    estimate = proj_space_size(7, len(code.rows)) * code.n  # codeword_enumeration
+    assert min_distance(code, Budget(estimate - 1)) == d
+    assert code._d_paths == {"codewords": None, "secants": d}
+    with pytest.raises(BudgetExceeded):
+        min_distance(LinearCode(code.field, code.rows), Budget(estimate - 1))
 
 
 def test_min_distance_paths_agree_on_sample():
@@ -123,24 +136,43 @@ def test_weight_distribution_matches_enumeration():
     assert sum(dist) == 5**3
 
 
+def _dual_distance_by_enumeration(code):
+    dual = LinearCode(code.field, parity_check(code.field, code.rows))
+    return min(sum(1 for v in w if v) for w in all_codewords(dual) if any(w))
+
+
 def test_dual_distance_against_dual_enumeration():
     f5 = field_make(5)
     for curve in itertools.islice(curve_scan(f5), 8):
         if curve.n - 1 < 3:
             continue
         code = generator_matrix(curve, 3)
-        h = parity_check(f5, code.rows)
-        dual = LinearCode(f5, h)
-        dual_words = all_codewords(dual)
-        want = min(sum(1 for v in w if v) for w in dual_words if any(w))
-        assert dual_min_distance(code) == want
-        assert dual_min_distance_from_distribution(code) == want
+        assert dual_min_distance(code) == _dual_distance_by_enumeration(code)
 
 
 def test_dual_distance_zero_column():
     f5 = field_make(5)
     code = LinearCode(f5, [[1, 0, 2, 0], [0, 1, 3, 0]])
-    assert dual_min_distance(code) == 1
+    assert dual_min_distance(code) == 1 == _dual_distance_by_enumeration(code)
+
+
+@pytest.mark.parametrize("q, rows, d, d_dual, label", [
+    # the [4,2,3] tetracode plus a zero column: s = 1, s_dual = 3 - 1 = 2
+    (3, [[1, 0, 1, 1, 0], [0, 1, 1, 2, 0]], 3, 1, LABEL_AMDS),
+    # an MDS [5,3,3] code with its last column repeated: s = 1, s_dual = 4 - 2
+    (5, [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 2], [0, 0, 1, 1, 3, 3]], 3, 2, LABEL_AMDS),
+    # a weight-1 word and a redundant third row: s = 5 - 2 + 1 - 1 = 3
+    (5, [[1, 0, 0, 0, 0], [0, 1, 1, 1, 1], [1, 1, 1, 1, 1]], 1, 2, LABEL_OTHER),
+    # [4,2,2] with s = 1 and s_dual = 3 - 2 = 1, for contrast
+    (3, [[1, 0, 1, 0], [0, 1, 0, 1]], 2, 2, LABEL_NMDS),
+])
+def test_labels_of_hand_built_codes(q, rows, d, d_dual, label):
+    code = LinearCode(field_of_order(q), rows)
+    want = _dual_distance_by_enumeration(code)
+    assert want == d_dual
+    cls = classify(code)
+    assert (cls.d, cls.d_dual, cls.label) == (d, d_dual, label)
+    assert dual_min_distance(code) == want
 
 
 def test_dual_distance_in_expected_band_for_arcs():
@@ -149,7 +181,7 @@ def test_dual_distance_in_expected_band_for_arcs():
         for curve in itertools.islice(curve_scan(field), 6):
             for k in range(3, min(6, curve.n - 1) + 1):
                 code = generator_matrix(curve, k)
-                dd = dual_min_distance_from_distribution(code)
+                dd = dual_min_distance(code)
                 assert dd in (k, k + 1)
 
 
@@ -254,6 +286,25 @@ def test_oracle_prefilter_matches_brute_force():
         done += 1
         if done == 4:
             break
+
+
+def test_oracle_repeats_a_column_when_only_a_repeat_extends():
+    # ternary [6,2,4] with columns (1,0), (0,1), (1,1), each twice: its one
+    # [8,2,6] extension adds (1,2) twice, so a chain that never reuses a
+    # column finds none
+    code = LinearCode(field_make(3), [[1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 1, 1]])
+    assert min_distance(code) == 4
+    assert h_extendability_oracle(code, 2) and h_extendable_brute_force(code, 2)
+    assert min_distance(extend(extend(code, (1, 2)), (1, 2))) == 6
+
+
+def test_oracle_asks_every_added_column_to_raise_the_distance():
+    # ternary [3,2,2] with columns (0,1), (1,1), (1,2): one added column
+    # reaches d = 3, but no second one reaches d = 4
+    code = LinearCode(field_make(3), [[0, 1, 1], [1, 1, 2]])
+    assert min_distance(code) == 2
+    assert h_extendability_oracle(code, 1) and h_extendable_brute_force(code, 1)
+    assert not h_extendability_oracle(code, 2) and not h_extendable_brute_force(code, 2)
 
 
 def test_code_chain_counterexample():

@@ -122,29 +122,29 @@ def test_sqrt():
             assert s <= f9.neg(s)
 
 
-def test_sqrt_generic_matches_table_path():
-    # q = 5^5 = 3125 uses tables; trial a field above the table threshold
-    big = field_make(5, 6)  # 15625 > 4096, Tonelli-Shanks path
-    small = field_make(5, 2)
-    rng = random.Random(7)
-    for _ in range(50):
-        a = rng.randrange(big.q)
-        s = big.sqrt(a)
-        if s is None:
-            assert not big.is_square(a)
-        else:
-            assert big.mul(s, s) == a
-    for a in range(small.q):
-        s = small.sqrt(a)
-        if s is not None:
-            assert small.mul(s, s) == a
+# every element up to 3125, and 600 of F_{5^6}, a field above TABLE_THRESHOLD
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 121, 3125, 15625])
+def test_sqrt_and_residues_match_euler_criterion(q):
+    # Euler's criterion through _ref_pow decides squareness; a root must
+    # square to the element under _ref_mul and be the smaller of +-root
+    field = field_of_order(q)
+    minus_one = _ref_add(field, 0, 1, -1)
+    for a in range(q) if q <= 3125 else random.Random(7).sample(range(q), 600):
+        euler = 1 if a == 0 else _ref_pow(field, a, (q - 1) // 2)
+        assert euler in (1, minus_one)
+        assert field.is_square(a) == (euler == 1)
+        root = field.sqrt(a)
+        assert (root is not None) == (euler == 1)
+        if root is not None:
+            assert _ref_mul(field, root, root) == a
+            assert root <= _ref_add(field, 0, root, -1)
 
 
 def test_encoding_roundtrip():
     for p, r in [(5, 1), (3, 4), (11, 2), (2, 10)]:
         f = field_make(p, r)
         for a in range(0, f.q, max(1, f.q // 257)):
-            assert sum(c * p**i for i, c in enumerate(f.digits(a))) == a
+            assert sum(c * p**i for i, c in enumerate(gf._int_digits(a, p, r))) == a
         arr = np.arange(f.q, dtype=np.int64)
         assert np.array_equal(f.undigits_np(f.digits_np(arr)), arr)
 
@@ -157,7 +157,7 @@ def test_vector_ops_match_scalar():
         rng = np.random.default_rng(1)
         a = rng.integers(0, f.q, size=500)
         b = rng.integers(0, f.q, size=500)
-        assert np.array_equal(f.digits_np(a), [f.digits(int(x)) for x in a])
+        assert np.array_equal(f.digits_np(a), [_ref_digits(f, int(x)) for x in a])
         assert np.array_equal(f.add_np(a, b), [f.add(int(x), int(y)) for x, y in zip(a, b)])
         assert np.array_equal(f.sub_np(a, b), [f.sub(int(x), int(y)) for x, y in zip(a, b)])
         assert np.array_equal(f.sub_np(a[0], b), [f.sub(int(a[0]), int(y)) for y in b])
@@ -223,7 +223,7 @@ def test_field_arithmetic_matches_polynomial_arithmetic(q, data):
         assert field.mul(x, field.add(y, z)) == field.add(field.mul(x, y), field.mul(x, z))
         assert field.mul(field.mul(x, y), z) == field.mul(x, field.mul(y, z))
         assert field.add(field.add(x, y), z) == field.add(x, field.add(y, z))
-    # after the products are checked: Tonelli-Shanks needs a correct multiply to stop
+    # after the products are checked: the square-root table squares every element
     for x in a:
         if x:
             assert _ref_mul(field, x, field.inv(x)) == 1

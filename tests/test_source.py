@@ -180,3 +180,37 @@ def test_the_negation_signs_come_from_psi_at_one_site():
     # read off psi in negation_odd and asked for at one site, not written per k
     assert {func for _, func, _ in _calls("psi")} == {"phi_k", "negation_odd"}
     assert [func for _, func, _ in _calls("negation_odd")] == ["_negation_group"]
+
+
+
+def _methods(path, cls):
+    tree = ast.parse(path.read_text())
+    node = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
+    return {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+
+
+# second routes to a quantity the library computes one way
+_SECOND_ROUTES = {"_tonelli_shanks", "_digits_int", "dual_min_distance_from_distribution"}
+
+
+def test_no_second_route_to_a_root_a_digit_or_a_dual_distance():
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _SECOND_ROUTES
+    ]
+    assert found == []
+    assert "digits" not in _methods(SRC / "gf.py", "Field")  # digits_np is the one expansion
+
+
+def test_square_roots_and_residues_read_the_one_table():
+    field = _methods(SRC / "gf.py", "Field")
+    for name in ("sqrt", "is_square"):
+        reads = {n.attr for n in ast.walk(field[name]) if isinstance(n, ast.Attribute)}
+        assert "sqrt_table_np" in reads, name
+
+
+def test_dual_distance_runs_no_subset_search():
+    # every code's dual distance is the MacWilliams transform of its weights
+    assert [where for where, _, _ in _calls("combinations") if where.startswith("code.py")] == []
