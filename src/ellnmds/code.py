@@ -276,11 +276,10 @@ def h_extendability_oracle(code: LinearCode, h: int, budget: Budget | None = Non
     field = code.field
     d = min_distance(code, budget)
     weights = _codeword_weights(code, budget)
-    reps = np.vstack(list(proj_reps(field, len(code.rows))))
-    w = linear_w_matrix(field, reps)
-    nonzero = ~dot_zero_mask(field, reps, w)  # (N_x, N_c) indicator of x.c != 0
-    n_cols = nonzero.shape[1]
+    n_cols = len(weights)  # added columns range over the messages' P^(rows-1)
     budget.charge("extendability_chain_search", n_cols * h * len(weights))
+    reps = np.vstack(list(proj_reps(field, len(code.rows))))
+    nonzero = ~dot_zero_mask(field, reps, linear_w_matrix(field, reps))  # (N_x, N_c): x.c != 0
     nz_mask = weights > 0
 
     def search(depth: int, acc: np.ndarray, start: int) -> bool:

@@ -269,12 +269,11 @@ class ProjPointSet:
     """An ordered list of distinct normalized points of P^{k-1}(F_q).
 
     Provides incidence machinery shared by arcs and their extensions.
-    Instances are immutable; ``with_point`` returns an extended copy.
+    Instances are immutable; ``with_point`` returns an extended copy that
+    keeps this set, and so its walk, as its ``parent``.
     """
 
-    arc: "EllipticArc | None" = None  # the elliptic arc whose points lead this set, if any
-
-    def __init__(self, field: Field, k: int, points, arc: "EllipticArc | None" = None):
+    def __init__(self, field: Field, k: int, points, parent: ProjPointSet | None = None):
         self.field = field
         self.k = k
         self.coords = normalize_points(field, k, points)
@@ -286,8 +285,9 @@ class ProjPointSet:
         self._charged = False
         self._fulls = None
         self._pencils = None
-        if arc is not None:
-            self.arc = arc
+        if parent is not None and not np.array_equal(self.encs[: parent.n], parent.encs):
+            raise ValueError("a set's points must begin with its parent's")
+        self.parent = parent
 
     @property
     def n(self) -> int:
@@ -300,9 +300,9 @@ class ProjPointSet:
         return self._w
 
     def with_point(self, coords) -> "ProjPointSet":
-        """Extended copy that keeps the leading arc, so full-hyperplane
-        enumeration still runs the group law on the arc's points."""
-        return ProjPointSet(self.field, self.k, [*self.points, coords], arc=self.arc)
+        """Extended copy whose walk adds to this set's walk the full hyperplanes
+        through the new point."""
+        return ProjPointSet(self.field, self.k, [*self.points, coords], parent=self)
 
     def _charge_scan(self, budget: Budget | None) -> None:
         """Charge ``hyperplane_scan`` at a whole-space scan's estimate once per set, whichever
@@ -339,8 +339,6 @@ class ProjPointSet:
 
 class EllipticArc(ProjPointSet):
     """Image of a curve's rational points in P^{k-1}, infinite image last."""
-
-    arc = property(lambda self: self)  # unstored: a self-reference waits for the cyclic GC
 
     def __init__(self, curve: EllipticCurve, k: int, points):
         super().__init__(curve.field, k, points)
@@ -569,7 +567,7 @@ def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | Non
     points it tested against a walk that D does not permute."""
     field, k = ps.field, ps.k
     odd = None
-    if ps.arc is ps and ps.curve.a1 == ps.curve.a2 == 0:
+    if isinstance(ps, EllipticArc) and ps.curve.a1 == ps.curve.a2 == 0:
         odd = negation_odd(field, k)
         if not np.array_equal(np.sort(negated_encs(field, ps.coords, odd)), np.sort(ps.encs)):
             raise InvariantViolated("the curve's negation does not permute the arc")
@@ -668,17 +666,19 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     """Sorted encodings (:func:`coords_to_enc`) of the duals of every k-secant
     (full) hyperplane.
 
-    Let A be the points of the elliptic arc that leads the set (``ps.arc``;
-    empty for a plain point set) and X the points after it.  The walk takes
-    the (k-1)-subsets one top (largest) point t at a time; their rests are the
-    first C(t, k-2) (k-2)-subsets in colex order.
+    Let A be the points whose full hyperplanes are known, all of an elliptic
+    arc, those of the set's ``parent``, or none, and X the points after them.
+    The walk takes the (k-1)-subsets one top (largest) point t at a time;
+    their rests are the first C(t, k-2) (k-2)-subsets in colex order.
 
-    * Inside A, from the group law: k distinct arc points lie on one
-      hyperplane exactly when they sum to O.  For a top t in A a rest S is
+    * On an arc, from the group law: k distinct arc points lie on one
+      hyperplane exactly when they sum to O.  For a top t a rest S is
       kept when last = -(S + t) lies above t, so each zero-sum k-subset gives
-      its first k-1 points once: C(n_A, k-1) table lookups, one dual a kept
+      its first k-1 points once: C(n, k-1) table lookups, one dual a kept
       subset.  Consecutive tops share a window (:func:`_arc_windows`) of at
       most ``scan_chunk_rows // 8`` subsets, or one top's when it keeps more.
+    * Of a parent, its kept walk.  Those hyperplanes hold no point of X: a
+      point of X on one would give it k + 1 points among the spans below.
     * A full hyperplane holding points of X is spanned by the subsets whose
       top lies in X, about |X| * C(n, k-2), in windows of ``scan_chunk_rows``.
       Rank-deficient ones contribute their whole pencil.
@@ -692,21 +692,22 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     and q - 1), plus one window's subsets.  Uncharged: see :meth:`ProjPointSet.walk`.
     """
     field, k, n = ps.field, ps.k, ps.n
-    n_arc = ps.arc.n if ps.arc is not None else 0
     members = _colex_subsets(n, k - 2)
-    if n_arc:
-        add, neg = ps.arc.curve.addition_table, ps.arc.curve.negation
-        sums = np.full(math.comb(n_arc, k - 2), n_arc - 1, dtype=add.dtype)
-        for col in members[: len(sums)].T:  # group sums of the arc's (k-2)-subsets
-            sums = add[sums, col]
     step = scan_chunk_rows(field, n)
+    arc_windows, encs, x_encs, n_known = (), [], [], 0
+    if isinstance(ps, EllipticArc):
+        add, neg = ps.curve.addition_table, ps.curve.negation
+        sums = np.full(len(members), n - 1, dtype=add.dtype)
+        for col in members.T:  # group sums of the (k-2)-subsets
+            sums = add[sums, col]
+        arc_windows, n_known = _arc_windows(add, neg, sums, k, n, step // 8), n
+    elif ps.parent is not None:
+        encs, n_known = [ps.parent.walk()], ps.parent.n
     signed, minors = _minor_trie(field, ps.coords, k - 2, step)
     w = ps.w_matrix
-    arc_encs, x_encs = [], []
     x_windows = ((top, np.arange(lo, min(lo + step, math.comb(top, k - 2))), None)
-                 for top in range(max(k - 2, n_arc), n)
+                 for top in range(max(k - 2, n_known), n)
                  for lo in range(0, math.comb(top, k - 2), step))
-    arc_windows = _arc_windows(add, neg, sums, k, n_arc, step // 8) if n_arc else ()
     for tops, rest, last in itertools.chain(arc_windows, x_windows):
         on_arc = last is not None
         subsets = np.column_stack([members[rest], np.broadcast_to(tops, len(rest))])
@@ -731,12 +732,12 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
             predicted = np.column_stack([subsets, last])
             if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
                 raise InvariantViolated("a group-law hyperplane misses its predicted points")
-            arc_encs.append(coords_to_enc(hyper, field.q))
+            encs.append(coords_to_enc(hyper, field.q))
         else:
             x_encs.append(coords_to_enc(hyper[counts == k], field.q))
     if x_encs:
-        arc_encs.append(np.unique(np.concatenate(x_encs)))
-    return np.sort(np.concatenate(arc_encs)) if arc_encs else np.empty(0, dtype=np.int64)
+        encs.append(np.unique(np.concatenate(x_encs)))
+    return np.sort(np.concatenate(encs)) if encs else np.empty(0, dtype=np.int64)
 
 
 def addable_filter(ps: ProjPointSet, candidates,

@@ -407,8 +407,6 @@ class LineSystem:
         self.tri = tri
         self.point_index = {p: i for i, p in enumerate(curve.points)}
         self._tri_points_cache: dict[int, tuple] = {}
-        self._tri_counts = None
-        self._tangent_counts = None
 
     # ---- id and coordinate conversions -----------------------------------
 
@@ -429,9 +427,6 @@ class LineSystem:
 
     def id_to_dual(self, line_id: int) -> tuple[int, int, int]:
         return tuple(enc_to_coords(self.dual_enc[line_id], self.q, 3).tolist())
-
-    def kind_of(self, dual_orig) -> str:
-        return _KIND_BY_CODE[int(self.kind[self.dual_to_id(dual_orig)])]
 
     def triple_points(self, line_id: int) -> tuple:
         """The three rational points of a trisecant line, curve coordinates,
@@ -522,29 +517,26 @@ class LineSystem:
     # ---- whole-plane statistics -------------------------------------------
 
     def _point_accumulate(self, line_mask: np.ndarray) -> np.ndarray:
-        """Per-point counts of marked lines through each plane point."""
+        """Per-point counts of marked lines through each plane point.
+
+        Marked non-vertical lines go q at a time, so each temporary holds q^2
+        entries, no more than the line table itself."""
         q = self.q
         field = self.curve.field
-        n_points = q * q + q + 1
-        out = np.zeros(n_points, dtype=np.int64)
+        out = np.zeros(q * q + q + 1, dtype=np.int64)
         marked = np.flatnonzero(line_mask)
         nonvert = marked[marked < q * q]
-        if len(nonvert):
-            ms = nonvert // q
-            ts = nonvert % q
-            xs = np.arange(q, dtype=np.int64)
-            ys = field.add_np(field.mul_np(ms[:, None], xs[None, :]), ts[:, None])
-            ids = xs[None, :] * q + ys
-            out[: q * q] += np.bincount(ids.ravel(), minlength=q * q)[: q * q]
-            out[q * q: q * q + q] += np.bincount(ms, minlength=q)
-        verts = marked[(marked >= q * q) & (marked < q * q + q)]
-        if len(verts):
-            x0s = verts - q * q
-            ids = (x0s[:, None] * q + np.arange(q, dtype=np.int64)[None, :]).ravel()
-            out[: q * q] += np.bincount(ids, minlength=q * q)[: q * q]
-            out[q * q + q] += len(verts)
+        xs = np.arange(q, dtype=np.int64)
+        for lo in range(0, len(nonvert), q):
+            ms, ts = np.divmod(nonvert[lo: lo + q, None], q)
+            ys = field.add_np(field.mul_np(ms, xs), ts)
+            out[: q * q] += np.bincount((xs * q + ys).ravel(), minlength=q * q)
+        out[q * q: q * q + q] += np.bincount(nonvert // q, minlength=q)
+        verts = marked[(marked >= q * q) & (marked < q * q + q)] - q * q
+        out[: q * q].reshape(q, q)[verts] += 1  # the vertical x = x0 holds every (x0, y)
+        out[q * q + q] += len(verts)
         if line_mask[q * q + q]:
-            out[q * q: q * q + q + 1] += 1
+            out[q * q:] += 1
         return out
 
     def external_mask(self) -> np.ndarray:
@@ -565,16 +557,6 @@ class LineSystem:
             return (0, 1, curve.field.sub(m_short, curve._short["h1"]))
         return (0, 0, 1)
 
-    def trisecant_counts(self) -> np.ndarray:
-        if self._tri_counts is None:
-            self._tri_counts = self._point_accumulate(self.kind == 2)
-        return self._tri_counts
-
-    def tangent_counts(self) -> np.ndarray:
-        if self._tangent_counts is None:
-            self._tangent_counts = self._point_accumulate(self.tangent)
-        return self._tangent_counts
-
 
 @dataclass
 class TrisecantScan:
@@ -593,7 +575,7 @@ class TrisecantScan:
 def min_trisecants(curve: EllipticCurve) -> TrisecantScan:
     """Minimum trisecant count over all rational points off the curve."""
     system = LineSystem(curve)
-    counts = system.trisecant_counts()
+    counts = system._point_accumulate(system.kind == 2)
     mask = system.external_mask()
     external = counts[mask]
     min_count = int(external.min())
@@ -604,54 +586,6 @@ def min_trisecants(curve: EllipticCurve) -> TrisecantScan:
         min_count=min_count,
         argmin=system.point_id_to_proj(argmin_id),
         histogram={int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
-    )
-
-
-@dataclass
-class TangentStats:
-    max_rational_tangents: int
-    max_geometric_tangents: int
-    degenerate_points: int
-    all_affine_have_nonvertical: bool
-    first_missing: tuple | None
-
-
-def tangent_statistics(curve: EllipticCurve) -> TangentStats:
-    """Closure tangent counts over every external point of the plane.
-
-    Feeds the classical checks: at most six tangent lines through any
-    external point, and a non-vertical one through every affine external
-    point.
-    """
-    system = LineSystem(curve)
-    q = curve.field.q
-    ext = system.external_mask()
-    max_rat = int(system.tangent_counts()[ext].max())
-    max_geo = 0
-    degenerate = 0
-    all_nv = True
-    first_missing = None
-    for pid in np.flatnonzero(ext):
-        pid = int(pid)
-        affine = pid < q * q
-        if affine:
-            nonvertical, extra = _closure_tangents(curve, *divmod(pid, q))
-        else:
-            nonvertical, extra = _closure_tangents(curve, None, pid - q * q)
-        if nonvertical is None:
-            degenerate += 1
-            continue
-        max_geo = max(max_geo, nonvertical + extra)
-        if affine and nonvertical == 0:
-            all_nv = False
-            if first_missing is None:
-                first_missing = system.point_id_to_proj(pid)
-    return TangentStats(
-        max_rational_tangents=max_rat,
-        max_geometric_tangents=max_geo,
-        degenerate_points=degenerate,
-        all_affine_have_nonvertical=all_nv,
-        first_missing=first_missing,
     )
 
 

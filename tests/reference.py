@@ -8,12 +8,16 @@ result the library computes another way:
 * :func:`map_point_to_frame` moves one curve point through a frame substitution;
 * :func:`max_extension_chain` is the exact geometric counterpart of
   h-extendability, a search over chains of added points;
-* :func:`h_extendable_brute_force` tries every h-tuple of added columns.
+* :func:`h_extendable_brute_force` tries every h-tuple of added columns;
+* :func:`tangent_statistics` counts tangents through every external point of
+  the plane: rational ones on each point's pencil, closure ones from the
+  slope discriminant.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from ellnmds.geometry import (
     proj_space_size,
 )
 from ellnmds.gf import Field, dot_zero_mask, dot_zero_mask_digits, linear_w_matrix, rank_gf
-from ellnmds.secants import _plane_point
+from ellnmds.secants import LineSystem, _closure_tangents, _plane_point
 
 
 def incidence(field: Field, hyperplane, point) -> bool:
@@ -159,3 +163,51 @@ def h_extendable_brute_force(code, h: int) -> bool:
         if int(acc[weights > 0].min()) == d + h:
             return True
     return False
+
+
+@dataclass
+class TangentStats:
+    max_rational_tangents: int
+    max_geometric_tangents: int
+    degenerate_points: int
+    all_affine_have_nonvertical: bool
+    first_missing: tuple | None
+
+
+def tangent_statistics(curve: EllipticCurve) -> TangentStats:
+    """Closure tangent counts over every external point of the plane.
+
+    Feeds the classical checks: at most six tangent lines through any
+    external point, and a non-vertical one through every affine external
+    point.  The rational counts sum each point's pencil in the line table.
+    """
+    system = LineSystem(curve)
+    q = curve.field.q
+    ext = np.flatnonzero(system.external_mask())
+    points = [system.point_id_to_proj(int(pid)) for pid in ext]
+    max_rat = int(system.tangent[system.pencils(points)].sum(axis=1).max())
+    max_geo = 0
+    degenerate = 0
+    all_nv = True
+    first_missing = None
+    for pid, point in zip(ext.tolist(), points):
+        affine = pid < q * q
+        if affine:
+            nonvertical, extra = _closure_tangents(curve, *divmod(pid, q))
+        else:
+            nonvertical, extra = _closure_tangents(curve, None, pid - q * q)
+        if nonvertical is None:
+            degenerate += 1
+            continue
+        max_geo = max(max_geo, nonvertical + extra)
+        if affine and nonvertical == 0:
+            all_nv = False
+            if first_missing is None:
+                first_missing = point
+    return TangentStats(
+        max_rational_tangents=max_rat,
+        max_geometric_tangents=max_geo,
+        degenerate_points=degenerate,
+        all_affine_have_nonvertical=all_nv,
+        first_missing=first_missing,
+    )

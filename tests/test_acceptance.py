@@ -26,8 +26,8 @@ from ellnmds.errors import Budget
 from ellnmds.extendability import verify_main_theorem
 from ellnmds.geometry import addable_points, arc_make, complete_arc
 from ellnmds.gf import field_make, field_of_order
-from ellnmds.secants import min_trisecants, tangent_statistics
-from reference import max_extension_chain
+from ellnmds.secants import min_trisecants
+from reference import max_extension_chain, tangent_statistics
 
 SWEEP_ORDERS = (5, 7, 9, 11, 13)
 

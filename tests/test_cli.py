@@ -177,6 +177,15 @@ def test_oracle_agreement(capsys):
     assert doc["pathsAgree"] is True
 
 
+def test_an_oracle_too_large_for_the_budget_is_refused(capsys):
+    # the chain search over P^3(F_121) is charged before its 1.79M x 1.79M
+    # column indicator exists, so the default budget refuses it cleanly
+    code, out, err = run_cli(capsys, "oracle", "--q", "121", "--curve", "0,0,0,1,0",
+                             "--k", "4", "--h", "1")
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert "budget: extendability_chain_search" in err
+
+
 def test_reports_are_byte_identical(capsys):
     args = ("verify", "--q", "121", "--curve", "0,0,0,1,0", "--k", "3", "--seed", "11")
     _, out1, _ = run_cli(capsys, *args)
@@ -332,5 +341,5 @@ def test_k5_verdict_walks_each_point_set_once(monkeypatch):
     code, stdout = run_normalized(argv, None)
     assert (code, stdout) == (golden["exit"], golden["stdout"])
     assert "full ambient scan ran" in json.loads(stdout)["notes"]
-    assert walked[0] is walked[0].arc
+    assert isinstance(walked[0], geometry.EllipticArc)
     assert [ps.n for ps in walked] == [walked[0].n, walked[0].n + 1, walked[0].n + 2]

@@ -307,6 +307,22 @@ def test_oracle_asks_every_added_column_to_raise_the_distance():
     assert not h_extendability_oracle(code, 2) and not h_extendable_brute_force(code, 2)
 
 
+def test_the_oracle_charges_its_search_before_building_columns(monkeypatch):
+    # the N x N indicator of the added columns is built only after the chain
+    # search's charge passes: a refused search builds nothing
+    code = generator_matrix(short_curve(field_make(7), 0, 5, 1), 3)
+    min_distance(code)  # enumerates and keeps the weights
+    calls = []
+    real = code_mod.dot_zero_mask
+    monkeypatch.setattr(code_mod, "dot_zero_mask", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(BudgetExceeded) as refused:
+        h_extendability_oracle(code, 1, Budget(0))
+    assert refused.value.label == "extendability_chain_search"
+    assert calls == []
+    h_extendability_oracle(code, 1, Budget(None))
+    assert len(calls) == 1  # the spy sees the indicator once the search runs
+
+
 def test_code_chain_counterexample():
     # completion size depends on the greedy choice: for y^2 = x^3 + x + 1
     # over F_5 at k = 4, adding (0,0,1,1) completes the set immediately, yet

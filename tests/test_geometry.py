@@ -320,10 +320,32 @@ def test_subset_route_after_completion_rounds():
     assert result.added == [(0, 1, 0, 0, 2), (0, 1, 1, 0, 9)]
     ps = arc
     for pt in result.added:
-        ps = ps.with_point(pt)
-        assert ps.arc is arc
+        ps, prev = ps.with_point(pt), ps
+        assert ps.parent is prev
         _, fulls_scan = secant_scan(ps)
         assert np.array_equal(full_hyperplanes_via_subsets(ps), coords_to_enc(fulls_scan, ps.field.q))
+
+
+def test_a_child_walks_only_the_spans_through_its_new_point(monkeypatch):
+    # a completion round's set takes its parent's kept walk and spans only
+    # through the point it adds: no group-law window runs again, and without
+    # the parent's hyperplanes the walk no longer matches the whole-space scan
+    field = field_make(11)
+    framed, _ = choose_frame(curve_make(field, (0, 0, 0, 1, 4)), force=True)
+    arc = arc_make(framed, 5)
+    arc.walk()
+    windows, real = [], geometry._arc_windows
+    monkeypatch.setattr(geometry, "_arc_windows", lambda *a: windows.append(a) or real(*a))
+    child = arc.with_point((0, 1, 0, 0, 2))
+    scanned = coords_to_enc(secant_scan(child)[1], field.q)
+    assert np.array_equal(child.walk(), scanned)
+    assert windows == []
+    arc_make(framed, 5).walk()
+    assert len(windows) == 1  # the spy sees an arc's walk
+    monkeypatch.setattr(arc, "walk", lambda: np.empty(0, dtype=np.int64))
+    assert not np.array_equal(full_hyperplanes_via_subsets(child), scanned)
+    with pytest.raises(ValueError):
+        ProjPointSet(field, 5, child.points[1:], parent=arc)
 
 
 def test_group_law_check_catches_a_bad_table(monkeypatch):
@@ -654,7 +676,9 @@ def test_the_pencil_sieve_is_exact(q, data):
     plain = data.draw(st.booleans())
 
     def fresh():
-        return ProjPointSet(field, k, ps.points) if plain else ProjPointSet(field, k, ps.points, arc=ps.arc)
+        if plain:
+            return ProjPointSet(field, k, ps.points)
+        return functools.reduce(ProjPointSet.with_point, ps.points[curve.n:], arc_make(curve, k))
 
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     space = proj_space_size(q, k)

@@ -6,8 +6,9 @@ import pytest
 
 from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
 from ellnmds.errors import DimensionMismatch, PointOnCurve
-from ellnmds.gf import field_make
+from ellnmds.gf import field_make, field_of_order
 from ellnmds.secants import (
+    _KIND_BY_CODE,
     KIND_CHORD,
     KIND_SPARSE,
     KIND_TANGENT,
@@ -21,7 +22,7 @@ from ellnmds.secants import (
     zero_j_hypotheses,
     zero_j_hypotheses_params,
 )
-from reference import incidence, lines_through
+from reference import incidence, lines_through, tangent_statistics
 
 
 def test_line_at_infinity():
@@ -78,7 +79,7 @@ def test_line_system_matches_line_meet():
         curve = short_curve(field, *coeffs)
         system = LineSystem(curve)
         for dual in _all_duals(field.q):
-            assert system.kind_of(dual) == line_meet(curve, dual).kind
+            assert _KIND_BY_CODE[int(system.kind[system.dual_to_id(dual)])] == line_meet(curve, dual).kind
 
 
 def test_line_system_on_shifted_curve():
@@ -87,7 +88,7 @@ def test_line_system_on_shifted_curve():
     curve = curve_make(f7, (1, 2, 0, 3, 5))
     system = LineSystem(curve)
     for dual in _all_duals(7):
-        assert system.kind_of(dual) == line_meet(curve, dual).kind
+        assert _KIND_BY_CODE[int(system.kind[system.dual_to_id(dual)])] == line_meet(curve, dual).kind
 
 
 def test_profile_sums_and_external_gate():
@@ -108,8 +109,6 @@ def test_profile_sums_and_external_gate():
 
 
 def test_tangent_bound_and_nonvertical_tangent_q11():
-    from ellnmds.secants import tangent_statistics
-
     f11 = field_make(11)
     for curve in itertools.islice(curve_scan(f11), 25):
         stats = tangent_statistics(curve)
@@ -137,10 +136,9 @@ def test_char3_tangent_counts_reported():
     worst = 0
     for curve in itertools.islice(curve_scan(f9), 25):
         system = LineSystem(curve)
-        ext = system.external_mask()
-        worst = max(worst, int(system.tangent_counts()[ext].max()))
-        pt_id = int(np.flatnonzero(ext)[0])
-        prof = line_profile(curve, system.point_id_to_proj(pt_id))
+        ext = [system.point_id_to_proj(int(pid)) for pid in np.flatnonzero(system.external_mask())]
+        worst = max(worst, int(system.tangent[system.pencils(ext)].sum(axis=1).max()))
+        prof = line_profile(curve, ext[0])
         assert prof.total == 10
     print(f"\n[report] char-3 max external tangent count over sample: {worst}")
 
@@ -167,6 +165,28 @@ def test_min_trisecants_matches_profiles():
     }
     first = ids[int(np.argmin(brute))]
     assert scan.argmin == system.point_id_to_proj(int(first))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
+def test_point_accumulation_matches_the_pencils(q):
+    # the per-point counts, accumulated q marked lines at a time, against each
+    # point's pencil read in the line table, for the trisecant and the tangent
+    # masks; every curve has more than q marked non-vertical lines of each
+    # kind, so the accumulation crosses a chunk boundary
+    field = field_of_order(q)
+    checked = 0
+    for curve in itertools.islice(curve_scan(field), 60):
+        system = LineSystem(curve)
+        masks = (system.kind == 2, system.tangent)
+        if min(int(mask[: q * q].sum()) for mask in masks) <= q:
+            continue
+        pencils = system.pencils([system.point_id_to_proj(pid) for pid in range(q * q + q + 1)])
+        for mask in masks:
+            assert np.array_equal(system._point_accumulate(mask), mask[pencils].sum(axis=1))
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def test_min_trisecants_deterministic_across_instances():

@@ -77,7 +77,8 @@ def test_only_the_chunk_walk_reads_the_reps_cache():
 _TEST_ONLY = {"secant_count", "incident_points", "is_arc_point", "is_identity",
               "multiplicity_sum", "undigits", "project_back", "same_code", "to_matrix_text",
               "j_invariant", "incidence", "lines_through", "map_point_to_frame",
-              "max_extension_chain"}
+              "max_extension_chain", "tangent_statistics", "TangentStats", "kind_of",
+              "tangent_counts", "trisecant_counts"}
 
 
 def test_the_library_defines_no_test_only_code():
@@ -85,7 +86,8 @@ def test_the_library_defines_no_test_only_code():
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _TEST_ONLY
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in _TEST_ONLY
     ]
     assert found == []
     assert _TEST_ONLY.isdisjoint(vars(ellnmds))
@@ -101,6 +103,20 @@ def test_the_oracle_has_one_search():
     args = oracle.args
     assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == [
         "code", "h", "budget"]
+
+
+def test_the_oracle_charges_before_it_builds_its_columns():
+    # the (N, N) indicator of added columns is built only once the chain
+    # search's charge has passed
+    oracle = next(node for node in ast.walk(ast.parse((SRC / "code.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "h_extendability_oracle")
+    lines = {}
+    for node in ast.walk(oracle):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            lines.setdefault(name, []).append(node.lineno)
+    assert len(lines["charge"]) == len(lines["dot_zero_mask"]) == 1
+    assert lines["charge"][0] < lines["dot_zero_mask"][0]
 
 
 def test_the_oracle_command_has_no_naive_switch(capsys):
@@ -214,3 +230,20 @@ def test_square_roots_and_residues_read_the_one_table():
 def test_dual_distance_runs_no_subset_search():
     # every code's dual distance is the MacWilliams transform of its weights
     assert [where for where, _, _ in _calls("combinations") if where.startswith("code.py")] == []
+
+
+def test_point_sets_name_their_parent_not_an_arc():
+    # an extended set reads its parent's walk; whether a set is an arc is its
+    # class, not an attribute
+    for cls in ("ProjPointSet", "EllipticArc"):
+        tree = next(node for node in ast.walk(ast.parse((SRC / "geometry.py").read_text()))
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(t, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        names |= {a.arg for node in tree.body if isinstance(node, ast.FunctionDef)
+                  for a in node.args.args}
+        assert "arc" not in names, cls
+        assert "arc" not in _methods(SRC / "geometry.py", cls)
