@@ -20,8 +20,8 @@ from .curve import EllipticCurve
 from .errors import ArcPropertyViolated, Budget, BudgetExceeded, InvariantViolated, ensure_budget
 from .gf import (  # noqa: F401  (parity_check is re-exported)
     Field,
+    dot_values_digits,
     dot_zero_mask,
-    dot_zero_mask_digits,
     field_of_order,
     linear_w_matrix,
     parity_check,
@@ -90,17 +90,43 @@ def generator_matrix(curve: EllipticCurve, k: int, budget: Budget | None = None)
 
 
 def _codeword_weights(code: LinearCode, budget: Budget) -> np.ndarray:
-    """Hamming weights of one codeword per projective class of messages,
-    enumerated on the first call and kept on the code (read-only)."""
+    """Hamming weights of one codeword per projective class of messages, in
+    canonical order, enumerated on the first call and kept on the code
+    (read-only).
+
+    Canonical P^(m-1) is e_m followed by one run of q rows (x', t), t = 0..q-1,
+    for each x' of P^(m-2) in its own canonical order.  A column c with
+    c_m != 0, scaled to c' = -c / c_m (scaling keeps the zero dots), has
+    (x', t).c' = x'.c'_{<m} - t, so one field value x'.c'_{<m} a run is the
+    row t it vanishes on, and one bincount over run*q + root counts the zeros
+    of every row; a column with c_m = 0 is zero on all of a run's rows when
+    x'.c_{<m} = 0.  The work is |P^(m-2)| * n dot products and |P^(m-1)| bins,
+    in chunks of P^(m-2) rows; no group law enters.
+    """
     if code._weights is None:
-        field, m = code.field, len(code.rows)
-        budget.charge("codeword_enumeration", proj_space_size(field.q, m) * code.n)
-        w = linear_w_matrix(field, code.matrix.T)  # dot rows: x . column selections
-        code._weights = np.concatenate([
-            code.n - dot_zero_mask_digits(field, digits, w).sum(axis=1)
-            for _, digits in proj_chunks(field, m, scan_chunk_rows(field, code.n))
-        ])
-        code._weights.flags.writeable = False
+        field, m, n, q = code.field, len(code.rows), code.n, code.field.q
+        size = proj_space_size(q, m)
+        budget.charge("codeword_enumeration", size * n)
+        cols = code.matrix.T  # (n, m)
+        last = cols[:, -1]
+        free = last != 0
+        weights = np.empty(size, dtype=np.int64)
+        weights[0] = n_free = np.count_nonzero(free)  # e_m
+        if m > 1:
+            scale = field.inv_np(field.neg_np(np.where(free, last, 1)))  # -1 / c_m
+            w = linear_w_matrix(field, field.mul_np(cols[:, :-1], scale[:, None]))
+            at = 1
+            for _, digits in proj_chunks(field, m - 1, max(1, scan_chunk_rows(field, n) // q)):
+                vals = dot_values_digits(field, digits, w).T  # (n, runs), contiguous
+                runs = vals.shape[1]
+                keys = (vals if n_free == n else vals[free]) + np.arange(0, runs * q, q)
+                zeros = np.bincount(keys.ravel(), minlength=runs * q)
+                if n_free < n:  # a column with c_m = 0 vanishes on all of a run or on none
+                    zeros += np.repeat(np.count_nonzero(vals[~free] == 0, axis=0), q)
+                np.subtract(n, zeros, out=weights[at: at + runs * q])
+                at += runs * q
+        code._weights = weights
+        weights.flags.writeable = False
     return code._weights
 
 
@@ -122,10 +148,12 @@ def min_distance(code: LinearCode, budget: Budget | None = None) -> int:
         if profile is None:
             raise
         weights = None  # refused before any work; the group-law path stands alone
-    d_cw = None if weights is None else int(weights[weights > 0].min())
+    counts = None if weights is None else np.bincount(weights, minlength=code.n + 1)
+    d_cw = None if counts is None else int(np.flatnonzero(counts[1:])[0]) + 1
     d_geo = None if profile is None else code.n - int(np.flatnonzero(profile)[-1])
-    if profile is not None and weights is not None:
-        sections = np.bincount(code.n - weights, minlength=len(profile))
+    if profile is not None and counts is not None:
+        # bincount(n - weights, minlength=len(profile)), read off the weight counts
+        sections = counts[::-1][: max(len(profile), code.n + 1 - int(np.flatnonzero(counts)[0]))]
         if len(sections) > len(profile):
             raise ArcPropertyViolated(f"a hyperplane holds {len(sections) - 1} > k arc points")
         if not np.array_equal(sections, profile):

@@ -579,6 +579,8 @@ def parity_check(field: Field, rows):
 # matmul is exact in any summation order once B^g fits the mantissa.  The
 # F_q dot product is zero when every digit dot product is divisible by p,
 # which a boolean table indexed by the folded value answers in one lookup.
+# Its value is the element whose digit t is dot_t mod p, which a second
+# table, of encodings, reads off the folded value the same way.
 
 ZERO_TABLE_MAX = 1 << 22          # largest cached zero table, in one-byte entries
 _ZERO_SLAB_ELEMS = 1 << 17        # folded entries cast and looked up per step
@@ -689,6 +691,60 @@ def _zero_plan(field: Field, kr: int) -> tuple:
         top = base**g - 1
         plan = field._np_cache.setdefault(key, (top, np.min_scalar_type(top), fold, table))
     return plan
+
+
+def dot_values_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Element encodings (m, n) of the dot products of digit rows (m, k*r)
+    with the points of W (k*r, n*r).
+
+    Runs :func:`dot_zero_mask_digits`' folded matmul and reads each folded
+    value's encoding, sum_t p^t * (digit_t mod p), from a table cached beside
+    the zero table (:func:`_value_table`), or, where there is no zero table
+    (g = 1), takes ``v % p`` per digit; the ceil(r/g) groups then combine as
+    the digits t*g.. of the result.  The cast and the lookup run in slabs as
+    there; the encodings come at the smallest unsigned type holding q - 1, as
+    the (m, n) transpose of a point-major array.
+    """
+    p, r = field.p, field.r
+    kr = digits.shape[1]
+    n = w.shape[1] // r
+    top, idtype, fold, table = _zero_plan(field, kr)
+    if top >= 1 << (np.finfo(w.dtype).nmant + 1):
+        raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
+    groups = fold.shape[1]
+    g = int(np.count_nonzero(fold[:, 0]))  # digits a group
+    values = None if table is None else _value_table(field, kr, g)
+    wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
+        kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
+    prod = wf.T @ digits.astype(w.dtype, copy=False).T
+    m = digits.shape[0]
+    out = np.empty((n, m), dtype=np.min_scalar_type(field.q - 1))
+    step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
+    for start in range(0, m, step):
+        vals = prod[:, start: start + step].astype(idtype)
+        enc = vals % p if values is None else np.take(values, vals, mode="clip")
+        for c in range(1, groups):
+            enc[:n] += enc[c * n: (c + 1) * n] * p ** (c * g)
+        out[:, start: start + step] = enc[:n]
+    return out.T
+
+
+def _value_table(field: Field, kr: int, g: int) -> np.ndarray:
+    """Encoding sum_t p^t * (digit_t(v) mod p) of every folded value v below
+    B^g, the g radix-B digits of v taken as the element's digits; the
+    companion of :func:`_zero_plan`'s zero table, built on first use and
+    cached the same way in ``field._np_cache``."""
+    key = ("values", kr)
+    values = field._np_cache.get(key)
+    if values is None:
+        p = field.p
+        digit = (np.arange((p - 1) ** 2 * kr + 1) % p).astype(np.min_scalar_type(field.q - 1))
+        values = digit
+        for j in range(1, g):
+            values = (digit[:, None] * p**j + values[None, :]).reshape(-1)
+        values.flags.writeable = False
+        values = field._np_cache.setdefault(key, values)
+    return values
 
 
 def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:

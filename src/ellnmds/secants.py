@@ -24,6 +24,7 @@ class stays empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -336,12 +337,10 @@ class LineSystem:
         h0 = curve._short["h0"]
         zs = field.add_np(ys_orig, field.add_np(field.mul_np(np.int64(h1), xs), np.int64(h0)))
         self._affine_ids = xs * q + zs
+        self._xs, self._zs = xs, zs
 
         counts = np.zeros(self.n_lines, dtype=np.int64)
-        ms = np.arange(q, dtype=np.int64)
-        tt = field.sub_np(zs[None, :], field.mul_np(ms[:, None], xs[None, :]))  # (q, n-1)
-        ids = ms[:, None] * q + tt
-        counts[: q * q] = np.bincount(ids.ravel(), minlength=q * q)
+        counts[: q * q] = np.bincount(self._chord_ids(), minlength=q * q)
         fiber = np.zeros(q, dtype=np.int64)
         np.add.at(fiber, xs, 1)
         counts[q * q: q * q + q] = fiber + 1  # infinite point joins each vertical
@@ -367,17 +366,31 @@ class LineSystem:
 
         kind = np.zeros(self.n_lines, dtype=np.int8)
         kind[tangent] = 1
-        tri = (counts == 3) & ~tangent
-        kind[tri] = 2
+        kind[(counts == 3) & ~tangent] = 2
         two = counts == 2
         if not tangent[two].all():
             raise InvariantViolated("a two-point line escaped the tangent set")
         if tangent[counts == 3].any():
             raise InvariantViolated("a three-point line claims tangency")
         self.kind = kind
+        self.point_index = {p: i for i, p in enumerate(curve.points)}
+        self._tri_points_cache: dict[int, tuple] = {}
 
-        # normalized dual encoding, in curve coordinates, of every line:
-        # Z = mX + t is a + bX + cY = 0 with (a, b, c) = (h0 - t, h1 - m, 1)
+    def _chord_ids(self) -> np.ndarray:
+        """Flat (q, n - 1) ids of the non-vertical line of each slope through
+        each affine point, slope-major."""
+        field, q = self.curve.field, self.q
+        ms = np.arange(q, dtype=np.int64)
+        tt = field.sub_np(self._zs[None, :], field.mul_np(ms[:, None], self._xs[None, :]))
+        return (ms[:, None] * q + tt).ravel()
+
+    @cached_property
+    def dual_enc(self) -> np.ndarray:
+        """Normalized dual encoding, in curve coordinates, of every line,
+        built on first read: Z = mX + t is a + bX + cY = 0 with
+        (a, b, c) = (h0 - t, h1 - m, 1)."""
+        field, q = self.curve.field, self.q
+        h1, h0 = self.curve._short["h1"], self.curve._short["h0"]
         duals = np.zeros((self.n_lines, 3), dtype=np.int64)
         ms_all, ts_all = np.divmod(np.arange(q * q, dtype=np.int64), q)
         duals[: q * q, 0] = field.sub_np(np.int64(h0), ts_all)
@@ -386,15 +399,19 @@ class LineSystem:
         duals[q * q: q * q + q, 0] = field.neg_np(np.arange(q, dtype=np.int64))
         duals[q * q: q * q + q, 1] = 1
         duals[q * q + q, 0] = 1
-        self.dual_enc = coords_to_enc(normalize_rows(field, duals), q)
+        return coords_to_enc(normalize_rows(field, duals), q)
 
-        # the three points of each trisecant as indices into curve.points,
-        # ascending, so the infinite point (index n - 1) comes last; -1 rows
-        # for every other line.  A stable sort by line id keeps each
-        # non-vertical line's points in point order.
+    @cached_property
+    def tri(self) -> np.ndarray:
+        """The three points of each trisecant as indices into curve.points,
+        ascending, so the infinite point (index n - 1) comes last; -1 rows
+        for every other line.  Built on first read; a stable sort by line id
+        keeps each non-vertical line's points in point order."""
+        q, kind, xs = self.q, self.kind, self._xs
+        ids = self._chord_ids()
         tri = np.full((self.n_lines, 3), -1, dtype=np.int64)
-        order = np.argsort(ids.ravel(), kind="stable")
-        line_sorted = ids.ravel()[order]
+        order = np.argsort(ids, kind="stable")
+        line_sorted = ids[order]
         point_sorted = order % len(xs)
         tri_ids = np.flatnonzero(kind[: q * q] == 2)
         first = np.searchsorted(line_sorted, tri_ids)
@@ -404,9 +421,7 @@ class LineSystem:
         tri[q * q + tri_verts, 0] = first
         tri[q * q + tri_verts, 1] = first + 1
         tri[q * q + tri_verts, 2] = len(xs)
-        self.tri = tri
-        self.point_index = {p: i for i, p in enumerate(curve.points)}
-        self._tri_points_cache: dict[int, tuple] = {}
+        return tri
 
     # ---- id and coordinate conversions -----------------------------------
 

@@ -8,6 +8,8 @@ result the library computes another way:
 * :func:`map_point_to_frame` moves one curve point through a frame substitution;
 * :func:`max_extension_chain` is the exact geometric counterpart of
   h-extendability, a search over chains of added points;
+* :func:`codeword_weights_by_zero_test` tests every message of P^(m-1)
+  against every column, where the library counts last-coordinate roots;
 * :func:`h_extendable_brute_force` tries every h-tuple of added columns;
 * :func:`tangent_statistics` counts tangents through every external point of
   the plane: rational ones on each point's pencil, closure ones from the
@@ -38,8 +40,10 @@ from ellnmds.geometry import (
     proj_reps,
     proj_reps_cached,
     proj_space_size,
+    scan_chunk_rows,
 )
-from ellnmds.gf import Field, dot_zero_mask, dot_zero_mask_digits, linear_w_matrix, rank_gf
+from ellnmds.gf import (Field, dot_zero_mask, dot_zero_mask_digits, linear_w_matrix, rank_gf,
+                        rows_digits)
 from ellnmds.secants import LineSystem, _closure_tangents, _plane_point
 
 
@@ -143,16 +147,27 @@ def max_extension_chain(ps: ProjPointSet, limit: int, budget: Budget | None = No
     return explore((), 0)
 
 
+def codeword_weights_by_zero_test(code) -> np.ndarray:
+    """Hamming weights of one codeword per projective class of messages, in
+    canonical order: one zero test of every message of P^(m-1) against every
+    column, over generated chunks (the projective-space cache is not read)."""
+    field = code.field
+    w = linear_w_matrix(field, code.matrix.T)
+    return np.concatenate([
+        code.n - dot_zero_mask_digits(field, rows_digits(field, reps, w.dtype), w).sum(axis=1)
+        for reps in proj_reps(field, len(code.rows), scan_chunk_rows(field, code.n))
+    ])
+
+
 def h_extendable_brute_force(code, h: int) -> bool:
     """Whether an [n+h, k, d+h] extension exists, by trying every h-tuple of
     added columns up to scalar; only feasible for tiny q^k.
 
-    The weights, one codeword per projective class of messages, and d come
-    from this function's own enumeration against the code's columns.
+    The weights and d come from :func:`codeword_weights_by_zero_test`.
     """
     field = code.field
     reps = np.vstack(list(proj_reps(field, len(code.rows))))
-    weights = (~dot_zero_mask(field, reps, linear_w_matrix(field, code.matrix.T))).sum(axis=1)
+    weights = codeword_weights_by_zero_test(code)
     d = int(weights[weights > 0].min())
     nonzero = ~dot_zero_mask(field, reps, linear_w_matrix(field, reps))  # x.c != 0
     n_cols = nonzero.shape[1]

@@ -29,7 +29,7 @@ from ellnmds.curve import curve_scan, short_curve
 from ellnmds.errors import Budget, BudgetExceeded, KOutOfRange
 from ellnmds.geometry import addable_points, proj_space_size
 from ellnmds.gf import field_make, field_of_order
-from reference import h_extendable_brute_force, max_extension_chain
+from reference import codeword_weights_by_zero_test, h_extendable_brute_force, max_extension_chain
 
 
 def all_codewords(code):
@@ -381,3 +381,52 @@ def test_a_code_enumerates_its_codewords_once():
     assert int(weights[weights > 0].min()) == d
     with pytest.raises(ValueError):
         weights[0] = 0
+
+
+# every (q, m) with |P^(m-1)| <= 3e6 over these orders; q = 243 at m = 3 folds
+# its digits in two groups, so the values kernel combines them
+_ROOT_COUNT_CASES = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 121, 243)
+                     for m in range(1, 6) if proj_space_size(q, m) <= 3_000_000]
+
+
+def _matrices(field, m, rng):
+    """Random (m, n) matrices: plain, with a zero column, with zero last
+    coordinates, with a repeated row and with an all-zero last row (the last
+    two have rows > rank when m > 1)."""
+    q = field.q
+    for case in ("plain", "zero column", "zero last", "repeated row", "zero last row"):
+        n = int(rng.integers(1, 11))
+        mat = rng.integers(0, q, size=(m, n))
+        if case == "zero column":
+            mat[:, rng.integers(n)] = 0
+        elif case == "zero last":
+            mat[-1, rng.random(n) < 0.5] = 0
+        elif case == "repeated row" and m > 1:
+            mat[-1] = mat[0]
+        elif case == "zero last row" and m > 1:
+            mat[-1] = 0
+        if not mat.any():
+            mat[0, 0] = 1
+        yield case, LinearCode(field, mat.tolist())
+
+
+@pytest.mark.parametrize("q, m", _ROOT_COUNT_CASES, ids=[f"q{q}-m{m}" for q, m in _ROOT_COUNT_CASES])
+def test_root_count_matches_the_zero_test(q, m):
+    # the root count over P^(m-2) lists every message class's weight exactly
+    # where the whole-space zero test over P^(m-1) does
+    field = field_of_order(q)
+    rng = np.random.default_rng([q, m])
+    for case, code in _matrices(field, m, rng):
+        got = _codeword_weights(code, Budget(None))
+        want = codeword_weights_by_zero_test(code)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (case, code.matrix.tolist())
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_root_count_matches_the_zero_test_on_every_sweep_code(q):
+    for curve in curve_scan(field_of_order(q)):
+        for k in range(3, min(6, curve.n - 1) + 1):
+            code = generator_matrix(curve, k)
+            assert np.array_equal(_codeword_weights(code, Budget(None)),
+                                  codeword_weights_by_zero_test(code)), (curve.coeffs, k)

@@ -22,8 +22,10 @@ from ellnmds.gf import (
     field_of_order,
     gemm_dtype,
     linear_w_matrix,
+    dot_values_digits,
     dot_zero_mask,
     parity_check,
+    rows_digits,
     rank_gf,
 )
 
@@ -330,6 +332,22 @@ def test_dot_zero_mask_matches_scalar_dots(qk, m, n, slab, seed):
         mask = dot_zero_mask(field, rows, w)
     expected = [[_scalar_dot(field, x, c) == 0 for c in cols] for x in rows]
     assert mask.tolist() == expected
+
+
+@pytest.mark.parametrize("q, k", [(7, 3), (13, 6), (121, 4)] + _GROUPED + _REMAINDER + _AT_LIMIT)
+@pytest.mark.parametrize("slab", [7, 1 << 17])
+def test_dot_values_match_scalar_dots(q, k, slab):
+    # one folded group read through the value table, ANDed groups (g < r)
+    # combined digit group by digit group, and v % p where there is no table
+    field = field_of_order(q)
+    rng = np.random.default_rng([q, k, slab])
+    cols = rng.integers(0, q, size=(9, k))
+    rows = _rows_with_zero_dots(field, rng, 12, cols)
+    w = linear_w_matrix(field, cols)
+    with mock.patch.object(gf, "_ZERO_SLAB_ELEMS", slab):
+        values = dot_values_digits(field, rows_digits(field, rows, w.dtype), w)
+    assert values.tolist() == [[_scalar_dot(field, x, c) for c in cols] for x in rows]
+    assert np.array_equal(values == 0, dot_zero_mask(field, rows, w))
 
 
 def _plan(q, k):

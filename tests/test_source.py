@@ -1,8 +1,13 @@
 import ast
 import pathlib
 
+import numpy as np
+
 import ellnmds
+from ellnmds import code as code_mod
 from ellnmds.cli import main
+from ellnmds.errors import Budget
+from ellnmds.gf import field_of_order
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ellnmds"
 
@@ -247,3 +252,37 @@ def test_point_sets_name_their_parent_not_an_arc():
                   for a in node.args.args}
         assert "arc" not in names, cls
         assert "arc" not in _methods(SRC / "geometry.py", cls)
+
+
+def test_the_codeword_enumeration_runs_no_zero_test():
+    # codewords are counted by the roots of their last coordinate; the zero
+    # test over all of P^(m-1) is the tests' reference
+    # (reference.codeword_weights_by_zero_test)
+    assert [where for where, _, _ in _calls("dot_zero_mask_digits")
+            if where.startswith("code.py")] == []
+
+
+def test_the_codeword_enumeration_walks_one_dimension_down(monkeypatch):
+    # _codeword_weights walks P^(m-2), m = rows, never P^(m-1)
+    seen, walk = [], code_mod.proj_chunks
+
+    def recording(field, k, *args, **kwargs):
+        seen.append(k)
+        return walk(field, k, *args, **kwargs)
+
+    monkeypatch.setattr(code_mod, "proj_chunks", recording)
+    field = field_of_order(7)
+    for m in (2, 4, 5):
+        seen.clear()
+        rows = np.random.default_rng(m).integers(1, 7, size=(m, 6)).tolist()
+        code_mod._codeword_weights(code_mod.LinearCode(field, rows), Budget(None))
+        assert seen == [m - 1]
+
+
+def test_line_systems_build_trisecant_tables_on_first_read():
+    # min_trisecants and line_profile read neither table; the frame search
+    # and the witness batch build them when they first read them
+    init = _methods(SRC / "secants.py", "LineSystem")["__init__"]
+    stored = {node.attr for node in ast.walk(init)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert stored.isdisjoint({"tri", "dual_enc"})
