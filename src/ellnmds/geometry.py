@@ -32,6 +32,7 @@ from .errors import (
 )
 from .gf import (
     Field,
+    dot_zero_at_digits,
     dot_zero_mask,
     dot_zero_mask_digits,
     gemm_dtype,
@@ -86,6 +87,14 @@ def normalize_rows(field: Field, coords: np.ndarray) -> np.ndarray:
     if field.r == 1:
         return (coords * scale[:, None]) % field.p
     return field.mul_np(coords, scale[:, None])
+
+
+def _within(sorted_encs: np.ndarray, encs: np.ndarray) -> bool:
+    """Whether every one of ``encs`` occurs in the sorted array ``sorted_encs``."""
+    if not len(sorted_encs):
+        return not len(encs)
+    at = np.minimum(np.searchsorted(sorted_encs, encs), len(sorted_encs) - 1)
+    return bool((sorted_encs[at] == encs).all())
 
 
 def coords_to_enc(coords: np.ndarray, q: int) -> np.ndarray:
@@ -330,8 +339,7 @@ class ProjPointSet:
         full member missing from the :meth:`walk` raises InvariantViolated."""
         if self._pencils is None:
             fulls, (w, tables, duals) = self.walk(), pencil_tables(self)
-            at = np.searchsorted(fulls, duals)  # fulls is sorted
-            if (at == len(fulls)).any() or (fulls[np.minimum(at, len(fulls) - 1)] != duals).any():
+            if not _within(fulls, duals):
                 raise InvariantViolated("a full hyperplane of a pencil is missing from the walk")
             self._pencils = w, tables
         return self._pencils
@@ -564,7 +572,10 @@ def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | Non
     a1 = a2 = 0 (curves have odd characteristic).  It must then map the arc's
     points and its walk onto themselves, or InvariantViolated is raised: a
     filter of one point an orbit would otherwise answer for the images of
-    points it tested against a walk that D does not permute."""
+    points it tested against a walk that D does not permute.  The walk is
+    mapped ``scan_chunk_rows`` hyperplanes at a time, each image looked up in
+    it: D is an involution and the walk holds no hyperplane twice, so images
+    that all lie in the walk make D permute it."""
     field, k = ps.field, ps.k
     odd = None
     if isinstance(ps, EllipticArc) and ps.curve.a1 == ps.curve.a2 == 0:
@@ -573,9 +584,11 @@ def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | Non
             raise InvariantViolated("the curve's negation does not permute the arc")
     fulls = ps.fulls(budget)
     if odd is not None:
-        images = negated_encs(field, enc_to_coords(fulls, field.q, k), odd)
-        if not np.array_equal(np.sort(images), fulls):
-            raise InvariantViolated("the curve's negation does not permute the walk")
+        step = scan_chunk_rows(field, ps.n)
+        for lo in range(0, len(fulls), step):
+            images = negated_encs(field, enc_to_coords(fulls[lo: lo + step], field.q, k), odd)
+            if not _within(fulls, images):
+                raise InvariantViolated("the curve's negation does not permute the walk")
     return odd
 
 
@@ -684,12 +697,18 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
       Rank-deficient ones contribute their whole pencil.
 
     A dual is the rest's minors in the :func:`_minor_trie` expanded along the
-    top row: k(k-1) multiplies, after C(n, k-2) * C(k, 2) trie minors.  An
-    incidence matmul confirms every hyperplane: a group-law one must meet the
-    set in exactly its k predicted points, or ArcPropertyViolated (more than
-    k) or InvariantViolated is raised.  Memory: per (k-2)-subset its group sum
-    (int32), k-2 members and C(k, k-2) trie minors (``min_scalar_type`` of n
-    and q - 1), plus one window's subsets.  Uncharged: see :meth:`ProjPointSet.walk`.
+    top row: k(k-1) multiplies, after C(n, k-2) * C(k, 2) trie minors.  A
+    group-law hyperplane is zero tested at its k predicted points only, the
+    subset and last (:func:`dot_zero_at_digits`), or InvariantViolated is
+    raised; a hyperplane through more than k arc points would come from two
+    zero-sum k-subsets, so a repeat in the sorted walk raises
+    ArcPropertyViolated.  The spans through X are counted against all n
+    points: exactly k keeps one, more raises ArcPropertyViolated.  Memory: per
+    (k-2)-subset its group sum (int32), k-2 members and C(k, k-2) trie minors
+    (``min_scalar_type`` of n and q - 1), plus one window's subsets and, in an
+    arc window, their gathered W columns (k * ceil(r/g) * kr floats a
+    hyperplane), in an X window its (m, n) mask.  Uncharged: see
+    :meth:`ProjPointSet.walk`.
     """
     field, k, n = ps.field, ps.k, ps.n
     members = _colex_subsets(n, k - 2)
@@ -724,20 +743,22 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
                     combo = field.add_np(combo, field.mul_np(mix[:, t: t + 1], basis[t][None, :]))
                 found.append(normalize_rows(field, combo))
         hyper = np.vstack(found)
-        mask = dot_zero_mask(field, hyper, w)
-        counts = mask.sum(axis=1)
-        if counts.max(initial=0) > k:
-            raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
         if on_arc:
             predicted = np.column_stack([subsets, last])
-            if not np.take_along_axis(mask, predicted, axis=1).all() or (counts < k).any():
+            if not dot_zero_at_digits(field, rows_digits(field, hyper, w.dtype), w, predicted).all():
                 raise InvariantViolated("a group-law hyperplane misses its predicted points")
             encs.append(coords_to_enc(hyper, field.q))
-        else:
-            x_encs.append(coords_to_enc(hyper[counts == k], field.q))
+            continue
+        counts = dot_zero_mask(field, hyper, w).sum(axis=1)
+        if counts.max(initial=0) > k:
+            raise ArcPropertyViolated("a spanned hyperplane exceeds k incidences")
+        x_encs.append(coords_to_enc(hyper[counts == k], field.q))
     if x_encs:
         encs.append(np.unique(np.concatenate(x_encs)))
-    return np.sort(np.concatenate(encs)) if encs else np.empty(0, dtype=np.int64)
+    walk = np.sort(np.concatenate(encs)) if encs else np.empty(0, dtype=np.int64)
+    if (walk[1:] == walk[:-1]).any():
+        raise ArcPropertyViolated("a hyperplane is reached twice: it holds more than k set points")
+    return walk
 
 
 def addable_filter(ps: ProjPointSet, candidates,

@@ -625,29 +625,22 @@ def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.
     """Zero-dot mask (m, n) from digit rows (m, k*r) and W (k*r, n*r).
 
     Folds each point's r digit columns of W into ceil(r/g) radix-B columns
-    (see the section comment), runs one exact matmul, casts the product to
-    the smallest integer type holding B^g - 1 and looks each entry up in the
-    cached table ``zero[v]`` (every radix-B digit of v divisible by p),
-    ANDing the groups when g < r.  g is the largest group size with
-    B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans (4 MiB)
-    per (p, r, k*r); when B alone exceeds that, g = 1 and the test is
-    ``v % p == 0``.  float32 and float64 hold every integer below 2^24
-    exactly; a ``w.dtype`` that cannot hold B^g - 1 raises Overflow.  The
-    cast and the lookup run in slabs of about 2^17 entries, which bounds the
-    integer copy.  The product is formed point-major, (n, m), and the mask
-    is returned as its (m, n) transpose, so the per-row sum and any that
-    every caller takes run over contiguous memory.
+    (:func:`_folded`, see the section comment), runs one exact matmul, casts
+    the product to the smallest integer type holding B^g - 1 and looks each
+    entry up in the cached table ``zero[v]`` (every radix-B digit of v
+    divisible by p), ANDing the groups when g < r.  g is the largest group
+    size with B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans
+    (4 MiB) per (p, r, k*r); when B alone exceeds that, g = 1 and the test is
+    ``v % p == 0``.  The cast and the lookup run in slabs of about 2^17
+    entries, which bounds the integer copy.  The product is formed
+    point-major, (n, m), and the mask is returned as its (m, n) transpose, so
+    the per-row sum and any that every caller takes run over contiguous
+    memory.
     """
-    p, r = field.p, field.r
-    kr = digits.shape[1]
-    n = w.shape[1] // r
-    top, idtype, fold, table = _zero_plan(field, kr)
-    if top >= 1 << (np.finfo(w.dtype).nmant + 1):
-        raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
+    p = field.p
+    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
     groups = fold.shape[1]
-    # group-major folded columns: group c of point j is column c*n + j
-    wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
-        kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
+    n = wf.shape[1] // groups
     prod = wf.T @ digits.astype(w.dtype, copy=False).T
     m = digits.shape[0]
     out = np.empty((n, m), dtype=bool)
@@ -661,6 +654,40 @@ def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.
             hits[:n] &= hits[c * n: (c + 1) * n]
         out[:, start: start + step] = hits[:n]
     return out.T
+
+
+def dot_zero_at_digits(field: Field, digits: np.ndarray, w: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """Zero-dot mask (m, s): row i's digits (m, k*r) against point ``cols[i, j]``
+    of W (k*r, n*r), only at those points.
+
+    :func:`dot_zero_mask_digits`' test, folded the same way (:func:`_folded`),
+    on the folded columns gathered per row, (m, s, groups, k*r): one exact
+    row-by-row product, then the zero table, or ``v % p`` where there is none,
+    with the groups ANDed.  The gather takes s * groups * k*r entries of
+    ``w.dtype`` a row; callers bound m.
+    """
+    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
+    per_point = wf.reshape(len(wf), fold.shape[1], -1).transpose(2, 1, 0)  # (n, groups, k*r)
+    vals = np.einsum("mi,msgi->msg", digits.astype(w.dtype, copy=False),
+                     per_point[cols]).astype(idtype)
+    hits = vals % field.p == 0 if table is None else np.take(table, vals, mode="clip")
+    return hits.all(axis=2)
+
+
+def _folded(field: Field, kr: int, w: np.ndarray) -> tuple:
+    """(W folded group-major, fold matrix, integer dtype, zero table or None)
+    for digit rows of width kr (:func:`_zero_plan`): group c of point j is
+    column c*n + j.  float32 and float64 hold every integer below 2^24 and 2^53
+    exactly; a ``w.dtype`` that cannot hold B^g - 1 raises Overflow."""
+    r = field.r
+    top, idtype, fold, table = _zero_plan(field, kr)
+    if top >= 1 << (np.finfo(w.dtype).nmant + 1):
+        raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
+    groups, n = fold.shape[1], w.shape[1] // r
+    wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
+        kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
+    return wf, fold, idtype, table
 
 
 def _zero_plan(field: Field, kr: int) -> tuple:
@@ -705,17 +732,12 @@ def dot_values_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.nda
     there; the encodings come at the smallest unsigned type holding q - 1, as
     the (m, n) transpose of a point-major array.
     """
-    p, r = field.p, field.r
-    kr = digits.shape[1]
-    n = w.shape[1] // r
-    top, idtype, fold, table = _zero_plan(field, kr)
-    if top >= 1 << (np.finfo(w.dtype).nmant + 1):
-        raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
+    p, kr = field.p, digits.shape[1]
+    wf, fold, idtype, table = _folded(field, kr, w)
     groups = fold.shape[1]
+    n = wf.shape[1] // groups
     g = int(np.count_nonzero(fold[:, 0]))  # digits a group
     values = None if table is None else _value_table(field, kr, g)
-    wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
-        kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
     prod = wf.T @ digits.astype(w.dtype, copy=False).T
     m = digits.shape[0]
     out = np.empty((n, m), dtype=np.min_scalar_type(field.q - 1))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_trie_duals_match_gaussian_elimination(q, k, data):
 
 def test_walk_catches_a_corrupted_trie_minor(monkeypatch):
     # one wrong (k-2)-minor under a zero-sum k-subset moves that subset's
-    # dual off its points; the incidence matmul must refuse the hyperplane
+    # dual off its points; the predicted-point test must refuse the hyperplane
     real = geometry._minor_trie
     for q, k in [(11, 3), (11, 4), (13, 5), (13, 6)]:
         curve = next(c for c in curve_scan(field_of_order(q)) if c.n > k + 2)
@@ -436,6 +437,105 @@ def test_walk_catches_a_corrupted_trie_minor(monkeypatch):
             full_hyperplanes_via_subsets(arc)
         monkeypatch.undo()
         assert len(full_hyperplanes_via_subsets(arc)) == curve.zero_sum_counts(k)[k]
+
+
+def _wrong_monomial_arc(monkeypatch, q, k):
+    """An arc whose coordinate psi_i is read at a wrong pole order, the first
+    (curve, i, order) whose images stay distinct."""
+    real = geometry.psi
+    curves = (c for c in curve_scan(field_of_order(q)) if c.n > k + 2)
+    for curve, i, order in itertools.product(curves, range(2, k + 1), range(k + 1, k + 5)):
+        monkeypatch.setattr(geometry, "psi", lambda field, j, x, y, i=i, order=order:
+                            real(field, order if j == i else j, x, y))
+        try:
+            return arc_make(curve, k)
+        except ValueError:  # two points share their image
+            pass
+        finally:
+            monkeypatch.undo()
+    raise AssertionError("no wrong monomial keeps the points distinct")
+
+
+def test_walk_refuses_an_arc_off_the_embedding(monkeypatch):
+    # a wrong monomial, or one wrong coordinate of one point: a zero-sum
+    # k-subset's dual misses a point it predicts
+    real_phi = geometry.phi_k
+    for q, k in [(11, 3), (11, 4), (13, 5), (13, 6)]:
+        curve = next(c for c in curve_scan(field_of_order(q)) if c.n > k + 2)
+        images = {real_phi(curve.field, pt, k) for pt in curve.points}
+        moved = curve.points[curve.n // 2]
+        image = real_phi(curve.field, moved, k)
+        wrong = next(image[:-1] + (c,) for c in range(q) if image[:-1] + (c,) not in images)
+        monkeypatch.setattr(geometry, "phi_k", lambda field, pt, kk, moved=moved, wrong=wrong:
+                            wrong if pt == moved else real_phi(field, pt, kk))
+        one_off = arc_make(curve, k)
+        monkeypatch.undo()
+        for arc in (_wrong_monomial_arc(monkeypatch, q, k), one_off):
+            with pytest.raises(InvariantViolated):
+                full_hyperplanes_via_subsets(arc)
+
+
+def test_walk_refuses_a_hyperplane_reached_twice(monkeypatch):
+    # one window walked twice gives its hyperplanes twice, as a hyperplane
+    # through more than k arc points would come from two zero-sum k-subsets;
+    # at q = 121 consecutive tops share windows, at q <= 13 one window is all
+    real = geometry._arc_windows
+
+    def twice(*args):
+        windows = list(real(*args))
+        first = next(i for i, (_, rest, _) in enumerate(windows) if len(rest))
+        return windows[: first + 1] + windows[first:]
+
+    for q, k in [(11, 3), (13, 4), (13, 5), (121, 4)]:
+        arc = arc_make(next(c for c in curve_scan(field_of_order(q)) if c.n > k + 2), k)
+        monkeypatch.setattr(geometry, "_arc_windows", twice)
+        with pytest.raises(ArcPropertyViolated, match="reached twice"):
+            full_hyperplanes_via_subsets(arc)
+        monkeypatch.undo()
+
+
+def test_arc_windows_confirm_only_the_predicted_points(monkeypatch):
+    # the arc's windows test each hyperplane at its k predicted points and
+    # run no zero test against all n points; a set with points after the arc
+    # counts its spans through them with the whole mask
+    calls = {"mask": [], "mask_digits": [], "at": []}
+    for name, key in (("dot_zero_mask", "mask"), ("dot_zero_mask_digits", "mask_digits"),
+                      ("dot_zero_at_digits", "at")):
+        real = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *a, real=real, key=key: calls[key].append(a) or real(*a))
+    field = field_make(11)
+    framed, _ = choose_frame(curve_make(field, (0, 0, 0, 1, 4)), force=True)
+    arc = arc_make(framed, 5)
+    fulls = arc.walk()
+    assert len(fulls) == framed.zero_sum_counts(5)[5]
+    assert calls["mask"] == calls["mask_digits"] == []
+    assert sum(len(cols) for *_, cols in calls["at"]) == len(fulls)
+    assert all(cols.shape[1] == 5 for *_, cols in calls["at"])
+    calls["at"].clear()
+    arc.with_point((0, 1, 0, 0, 2)).walk()
+    assert calls["at"] == [] and len(calls["mask"]) >= 1
+
+
+def test_the_negation_check_maps_the_walk_in_bounded_memory():
+    # the check maps the walk a chunk at a time; mapping the whole walk at
+    # once, as the check did before, takes more than one (Z, k) int64 array
+    curve = curve_make(field_of_order(121), (0, 0, 75, 109, 5))
+    arc = arc_make(curve, 5)
+    fulls = arc.walk()
+    odd = geometry.negation_odd(curve.field, 5)
+    bound = fulls.size * 5 * 8
+    tracemalloc.start()
+    try:
+        assert np.array_equal(geometry._negation_group(arc, Budget(None)), odd)
+        chunked = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 121, 5), odd)
+        assert np.array_equal(np.sort(images), fulls)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunked < bound < whole
 
 
 def test_addable_filter_agrees_with_full_scan():

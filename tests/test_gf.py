@@ -23,6 +23,7 @@ from ellnmds.gf import (
     gemm_dtype,
     linear_w_matrix,
     dot_values_digits,
+    dot_zero_at_digits,
     dot_zero_mask,
     parity_check,
     rows_digits,
@@ -348,6 +349,51 @@ def test_dot_values_match_scalar_dots(q, k, slab):
         values = dot_values_digits(field, rows_digits(field, rows, w.dtype), w)
     assert values.tolist() == [[_scalar_dot(field, x, c) for c in cols] for x in rows]
     assert np.array_equal(values == 0, dot_zero_mask(field, rows, w))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    qk=st.one_of(
+        st.tuples(st.sampled_from([7, 9, 13, 25, 27, 121]), st.integers(3, 6)),
+        st.sampled_from(_GROUPED + _REMAINDER + _AT_LIMIT),
+    ),
+    m=st.integers(0, 12),
+    n=st.integers(1, 9),
+    s=st.integers(1, 7),
+    slab=st.sampled_from([7, 1 << 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dot_zero_at_matches_the_gathered_mask(qk, m, n, s, slab, seed):
+    # arbitrary column indices per row, repeats within a row included: the
+    # gathered test reads exactly the entries of the whole mask it names
+    q, k = qk
+    field = field_of_order(q)
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, q, size=(n, k))
+    rows = _rows_with_zero_dots(field, rng, m, points).reshape(m, k)
+    cols = rng.integers(0, n, size=(m, s))
+    cols[:, -1] = cols[:, 0]
+    w = linear_w_matrix(field, points)
+    with mock.patch.object(gf, "_ZERO_SLAB_ELEMS", slab):
+        want = np.take_along_axis(dot_zero_mask(field, rows, w), cols, axis=1)
+        got = dot_zero_at_digits(field, rows_digits(field, rows, w.dtype), w, cols)
+    assert got.shape == (m, s) and got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+def test_dot_zero_at_rejects_an_inexact_dtype():
+    field = field_of_order(4099)
+    cols = np.ones((2, 3), dtype=np.int64)
+    w = linear_w_matrix(field, cols, np.float32)
+    with pytest.raises(Overflow):
+        dot_zero_at_digits(field, rows_digits(field, cols, np.float32), w, np.zeros((2, 1), int))
+
+
+def test_the_fold_is_written_once():
+    # the zero mask, the values and the gathered test read one folded W
+    source = pathlib.Path(gf.__file__).read_text()
+    assert source.count("fold).reshape(") == 1
+    assert source.count("_folded(field,") == 3
 
 
 def _plan(q, k):
