@@ -32,6 +32,7 @@ from .errors import (
 )
 from .gf import (
     Field,
+    dot_values_digits,
     dot_zero_at_digits,
     dot_zero_mask,
     dot_zero_mask_digits,
@@ -428,23 +429,6 @@ def _pencil_axes(n: int, k: int, count: int) -> list[tuple[int, ...]]:
     return list(axes)
 
 
-def _pencil_keys(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(m, A) keys a*q + b, with a = f0.x and b = f1.x, of the digit rows x
-    against the form pairs (f0, f1) whose W (:func:`linear_w_matrix`) is ``w``.
-
-    One exact matmul gives the digit dot products v; v mod p is
-    v - p floor((v + 1/2) / p), whose quotient lies at least 1/(2p) from an
-    integer, more than the rounding error while v < 2^22 in float32 (2^51 in
-    float64, see :func:`pencil_tables`); the 2r digits of a pair are then
-    weighted into its key, below q^2 <= 2^24."""
-    p, r = field.p, field.r
-    prod = digits.astype(w.dtype, copy=False) @ w
-    prod -= p * np.floor((prod + 0.5) * (1 / p))
-    place = (p ** np.concatenate([r + np.arange(r), np.arange(r)])).astype(w.dtype)
-    keys = prod.reshape(-1, 2 * r) @ place
-    return keys.astype(np.int32).reshape(len(digits), w.shape[1] // (2 * r))
-
-
 def pencil_tables(ps: ProjPointSet):
     """(w, tables, duals): the pencils of the set's sieve, by counting its points.
 
@@ -456,10 +440,12 @@ def pencil_tables(ps: ProjPointSet):
     member is full when it holds exactly k set points: those of its class plus
     those of span(S), key (0, 0), which lie on every member.
 
-    ``w`` is the W matrix of f0, f1 of every axis, ``tables[a]`` the q^2
-    booleans "the member of axis a through key a*q + b is full" (key 0, a point
-    of span(S), lies on every member), and ``duals`` the encodings of the full
-    members.  Cost O(A n) keys and O(A q) table entries; memory A q^2 bytes.
+    ``w`` is the W matrix of f0, f1 of every axis, whose values in gf's one
+    folded product (:func:`dot_values_digits`) are the keys; ``tables[a]`` the
+    q^2 booleans "the member of axis a through key a*q + b is full" (key 0, a
+    point of span(S), lies on every member), and ``duals`` the encodings of
+    the full members.  Cost O(A n) keys and O(A q) table entries; memory
+    A q^2 bytes.
     A member with more than k set points raises ArcPropertyViolated.
     """
     field, k, q = ps.field, ps.k, ps.field.q
@@ -469,15 +455,14 @@ def pencil_tables(ps: ProjPointSet):
         if len(basis) == 2:  # S is independent
             forms.extend(basis)
     forms = np.array(forms, dtype=np.int64).reshape(-1, 2, k)
-    exact32 = (field.p - 1) ** 2 * k * field.r < 1 << 22
-    w = linear_w_matrix(field, forms.reshape(-1, k), np.float32 if exact32 else np.float64)
-    keys = _pencil_keys(field, rows_digits(field, ps.coords, w.dtype), w)
+    w = linear_w_matrix(field, forms.reshape(-1, k))
+    keys = dot_values_digits(field, rows_digits(field, ps.coords), w).reshape(ps.n, len(forms), 2)
     tables = np.zeros((len(forms), q * q), dtype=bool)
     lam = np.arange(1, q, dtype=np.int64)
     duals = []
     for a, (f0, f1) in enumerate(forms):
-        on_axis = keys[:, a] == 0
-        u = normalize_rows(field, np.stack(np.divmod(keys[~on_axis, a].astype(np.int64), q), axis=1))
+        on_axis = ~keys[:, a].any(axis=1)
+        u = normalize_rows(field, keys[~on_axis, a].astype(np.int64))
         sizes = np.bincount(np.where(u[:, 0] == 1, u[:, 1], q), minlength=q + 1) + on_axis.sum()
         if sizes.max() > k:
             raise ArcPropertyViolated(f"a hyperplane through {int(on_axis.sum())} set points "
@@ -500,13 +485,14 @@ def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray):
     :meth:`ProjPointSet.pencils`: one key lookup a pencil, the pencils taken in
     doubling batches, each on the survivors of the one before."""
     w, tables = ps.pencils()
-    q2, cols = ps.field.q ** 2, 2 * ps.field.r
+    q, cols = ps.field.q, 2 * ps.field.r
     live = np.arange(len(cand), dtype=np.int32)  # compacted in place of the wider rows
     lo, batch = 0, 1
     while lo < len(tables) and len(live):
         hi = min(lo + batch, len(tables))
-        keys = _pencil_keys(ps.field, digits, w[:, lo * cols: hi * cols])
-        hit = np.take(tables[lo:hi].reshape(-1), keys + np.arange(hi - lo, dtype=np.int32) * q2)
+        values = dot_values_digits(ps.field, digits, w[:, lo * cols: hi * cols]).astype(np.int32)
+        keys = values[:, 0::2] * q + values[:, 1::2]  # a*q + b < q^2 <= 2^24
+        hit = np.take(tables[lo:hi].reshape(-1), keys + np.arange(hi - lo, dtype=np.int32) * q * q)
         keep = ~hit.any(axis=1)
         live, digits = live[keep], digits[keep]
         lo, batch = hi, 2 * batch

@@ -569,7 +569,7 @@ def parity_check(field: Field, rows):
 # output digit t of point j, turns a batch of dot products into one integer
 # matmul run exactly in floating point, so BLAS does the heavy lifting.
 #
-# The zero test folds before it multiplies.  Each integer digit dot product
+# Every bulk dot product folds before it multiplies.  Each integer digit dot product
 # is a sum of k*r terms in [0, (p-1)^2], so it lies in [0, B) with
 # B = (p-1)^2*k*r + 1.  Weighting a point's r digit columns of W by 1, B,
 # B^2, ... and summing them in groups of g gives one column per group whose
@@ -580,7 +580,9 @@ def parity_check(field: Field, rows):
 # F_q dot product is zero when every digit dot product is divisible by p,
 # which a boolean table indexed by the folded value answers in one lookup.
 # Its value is the element whose digit t is dot_t mod p, which a second
-# table, of encodings, reads off the folded value the same way.
+# table, of encodings, reads off the folded value the same way.  One folded
+# product (_folded_product) feeds both: the zero mask reads the first table,
+# the values (and the pencil keys built from them) the second.
 
 ZERO_TABLE_MAX = 1 << 22          # largest cached zero table, in one-byte entries
 _ZERO_SLAB_ELEMS = 1 << 17        # folded entries cast and looked up per step
@@ -624,35 +626,20 @@ def rows_digits(field: Field, rows: np.ndarray, dtype=None) -> np.ndarray:
 def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Zero-dot mask (m, n) from digit rows (m, k*r) and W (k*r, n*r).
 
-    Folds each point's r digit columns of W into ceil(r/g) radix-B columns
-    (:func:`_folded`, see the section comment), runs one exact matmul, casts
-    the product to the smallest integer type holding B^g - 1 and looks each
-    entry up in the cached table ``zero[v]`` (every radix-B digit of v
-    divisible by p), ANDing the groups when g < r.  g is the largest group
-    size with B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans
-    (4 MiB) per (p, r, k*r); when B alone exceeds that, g = 1 and the test is
-    ``v % p == 0``.  The cast and the lookup run in slabs of about 2^17
-    entries, which bounds the integer copy.  The product is formed
-    point-major, (n, m), and the mask is returned as its (m, n) transpose, so
-    the per-row sum and any that every caller takes run over contiguous
-    memory.
+    Looks each folded value v of :func:`_folded_product` up in the cached
+    table ``zero[v]`` (every radix-B digit of v divisible by p), or tests
+    ``v % p == 0`` where there is none (g = 1), ANDing the groups.  The mask
+    is the (m, n) transpose of a point-major array, so the per-row sum and
+    any that every caller takes run over contiguous memory.
     """
     p = field.p
-    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
-    groups = fold.shape[1]
-    n = wf.shape[1] // groups
-    prod = wf.T @ digits.astype(w.dtype, copy=False).T
-    m = digits.shape[0]
-    out = np.empty((n, m), dtype=bool)
-    step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
-    for start in range(0, m, step):
-        vals = prod[:, start: start + step].astype(idtype)
-        # indices are below B^g by construction; 'clip' skips the buffered
-        # bounds check of the default mode
+    table, slabs = _folded_product(field, digits, w)
+    out = np.empty((w.shape[1] // field.r, len(digits)), dtype=bool)
+    for cols, vals in slabs:
         hits = vals % p == 0 if table is None else np.take(table, vals, mode="clip")
-        for c in range(1, groups):
-            hits[:n] &= hits[c * n: (c + 1) * n]
-        out[:, start: start + step] = hits[:n]
+        for c in range(1, len(hits)):
+            hits[0] &= hits[c]
+        out[:, cols] = hits[0]
     return out.T
 
 
@@ -690,9 +677,30 @@ def _folded(field: Field, kr: int, w: np.ndarray) -> tuple:
     return wf, fold, idtype, table
 
 
+def _folded_product(field: Field, digits: np.ndarray, w: np.ndarray) -> tuple:
+    """(zero table or None, slabs): W (k*r, n*r) folded by :func:`_folded`
+    meets the digit rows (m, k*r) in one exact matmul, point-major; ``slabs``
+    yields (cols, vals), vals[c, j, i] the folded value of group c of row
+    cols[i]'s dot with point j, cast to the integer dtype about
+    ``_ZERO_SLAB_ELEMS`` entries at a time, which bounds the integer copy.
+    Every value lies below B^g, so the tables are read with mode 'clip',
+    which skips numpy's buffered bounds check."""
+    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
+    groups, n = fold.shape[1], w.shape[1] // field.r
+    prod = (wf.T @ digits.astype(w.dtype, copy=False).T).reshape(groups, n, len(digits))
+    step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
+    def slabs():
+        for start in range(0, len(digits), step):
+            cols = slice(start, start + step)
+            yield cols, prod[..., cols].astype(idtype)
+    return table, slabs()
+
+
 def _zero_plan(field: Field, kr: int) -> tuple:
     """(B^g - 1, its integer dtype, fold matrix (r, ceil(r/g)), zero table or
-    None) for digit rows of width kr.
+    None) for digit rows of width kr.  g is the largest group size with
+    B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans (4 MiB); when
+    B alone exceeds that, g = 1 and there is none.
 
     Cached in ``field._np_cache``: built completely, then published with one
     setdefault, so threads that race only duplicate the work.
@@ -724,49 +732,43 @@ def dot_values_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.nda
     """Element encodings (m, n) of the dot products of digit rows (m, k*r)
     with the points of W (k*r, n*r).
 
-    Runs :func:`dot_zero_mask_digits`' folded matmul and reads each folded
-    value's encoding, sum_t p^t * (digit_t mod p), from a table cached beside
-    the zero table (:func:`_value_table`), or, where there is no zero table
-    (g = 1), takes ``v % p`` per digit; the ceil(r/g) groups then combine as
-    the digits t*g.. of the result.  The cast and the lookup run in slabs as
-    there; the encodings come at the smallest unsigned type holding q - 1, as
-    the (m, n) transpose of a point-major array.
+    Reads each folded value of :func:`_folded_product` in the value table
+    (:func:`_value_plan`), or takes ``v % p`` where there is none (g = 1); the
+    ceil(r/g) groups combine as the digits c*g.. of the result.  Encodings
+    come at the smallest unsigned type holding q - 1, as the (m, n) transpose
+    of a point-major array.
     """
-    p, kr = field.p, digits.shape[1]
-    wf, fold, idtype, table = _folded(field, kr, w)
-    groups = fold.shape[1]
-    n = wf.shape[1] // groups
-    g = int(np.count_nonzero(fold[:, 0]))  # digits a group
-    values = None if table is None else _value_table(field, kr, g)
-    prod = wf.T @ digits.astype(w.dtype, copy=False).T
-    m = digits.shape[0]
-    out = np.empty((n, m), dtype=np.min_scalar_type(field.q - 1))
-    step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
-    for start in range(0, m, step):
-        vals = prod[:, start: start + step].astype(idtype)
+    p = field.p
+    _, slabs = _folded_product(field, digits, w)
+    values, g, dtype = _value_plan(field, digits.shape[1])
+    out = np.empty((w.shape[1] // field.r, len(digits)), dtype=dtype)
+    for cols, vals in slabs:
         enc = vals % p if values is None else np.take(values, vals, mode="clip")
-        for c in range(1, groups):
-            enc[:n] += enc[c * n: (c + 1) * n] * p ** (c * g)
-        out[:, start: start + step] = enc[:n]
+        for c in range(1, len(enc)):
+            enc[0] += enc[c] * p ** (c * g)
+        out[:, cols] = enc[0]
     return out.T
 
 
-def _value_table(field: Field, kr: int, g: int) -> np.ndarray:
-    """Encoding sum_t p^t * (digit_t(v) mod p) of every folded value v below
-    B^g, the g radix-B digits of v taken as the element's digits; the
-    companion of :func:`_zero_plan`'s zero table, built on first use and
-    cached the same way in ``field._np_cache``."""
+def _value_plan(field: Field, kr: int) -> tuple:
+    """(value table or None, g, encoding dtype) for digit rows of width kr: the
+    encoding sum_t p^t * (digit_t(v) mod p) of every folded value v below B^g
+    where :func:`_zero_plan` has a zero table, cached the same way."""
     key = ("values", kr)
-    values = field._np_cache.get(key)
-    if values is None:
-        p = field.p
-        digit = (np.arange((p - 1) ** 2 * kr + 1) % p).astype(np.min_scalar_type(field.q - 1))
-        values = digit
-        for j in range(1, g):
-            values = (digit[:, None] * p**j + values[None, :]).reshape(-1)
-        values.flags.writeable = False
-        values = field._np_cache.setdefault(key, values)
-    return values
+    plan = field._np_cache.get(key)
+    if plan is None:
+        p, dtype = field.p, np.min_scalar_type(field.q - 1)
+        _, _, fold, table = _zero_plan(field, kr)
+        g = int(np.count_nonzero(fold[:, 0]))  # digits a group
+        values = None
+        if table is not None:
+            digit = (np.arange((p - 1) ** 2 * kr + 1) % p).astype(dtype)
+            values = digit
+            for j in range(1, g):
+                values = (digit[:, None] * p**j + values[None, :]).reshape(-1)
+            values.flags.writeable = False
+        plan = field._np_cache.setdefault(key, (values, g, dtype))
+    return plan
 
 
 def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -41,7 +41,16 @@ from ellnmds.geometry import (
     psi,
     secant_scan,
 )
-from ellnmds.gf import dot_zero_mask, field_make, field_of_order, linear_w_matrix, parity_check
+from ellnmds import gf
+from ellnmds.gf import (
+    dot_zero_mask,
+    field_make,
+    field_of_order,
+    gemm_dtype,
+    linear_w_matrix,
+    parity_check,
+    rows_digits,
+)
 from reference import incidence
 
 
@@ -753,10 +762,11 @@ def test_group_law_profile_breaks_under_mutation(monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27]), data=st.data())
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27, 81]), data=st.data())
 def test_the_pencil_sieve_is_exact(q, data):
     # arc-led sets, with up to two addable points appended, and plain copies:
-    # the sieved filters match the unsieved reference, in any axis order
+    # the sieved filters match the unsieved reference, in any axis order; at
+    # q = 81 the fold has two groups of three digits, so the groups combine
     field = field_of_order(q)
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))
     try:
@@ -764,7 +774,7 @@ def test_the_pencil_sieve_is_exact(q, data):
     except Singular:
         assume(False)
     assume(curve.n >= 4)
-    k = data.draw(st.integers(3, min(6 if q < 25 else 5, curve.n - 1)))
+    k = data.draw(st.integers(3, min({81: 3, 25: 5, 27: 5}.get(q, 6), curve.n - 1)))
     assert geometry.proj_reps_cached(field, k) is not None
     ps = arc_make(curve, k)
     want = unsieved_addable(ps)
@@ -795,6 +805,62 @@ def test_the_pencil_sieve_is_exact(q, data):
         mp.setattr(geometry, "_pencil_axes", lambda *a: real(*a)[::-1])
         assert addable_points(fresh()) == want
         assert addable_filter(fresh(), cands) == [p for p in want if p in cand_set]
+
+
+def _combinations(field, coeffs, basis):
+    """Rows coeffs @ basis over the field, by its scalar tables."""
+    out = np.zeros((len(coeffs), basis.shape[1]), dtype=np.int64)
+    for c, row in zip(coeffs.T, basis):
+        out = field.add_np(out, field.mul_np(c[:, None], row[None, :]))
+    return out
+
+
+def _table_zero_dots(field, rows, duals):
+    """(m, h) mask: row . dual is zero, by the field's scalar tables."""
+    dots = np.zeros((len(rows), len(duals)), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        dots = field.add_np(dots, field.mul_np(rows[:, j, None], duals[None, :, j]))
+    return dots == 0
+
+
+@pytest.mark.parametrize("q, k", [(81, 4), (1021, 5), (4099, 3)])
+def test_the_pencil_sieve_is_exact_on_planted_hyperplanes(q, k):
+    # three hyperplanes, k set points planted on each, and candidates on
+    # them: the sieved filter matches a reference that finds the full
+    # hyperplanes by their spanning subsets and zero tests by the field's
+    # tables.  q = 81 folds two groups of three digits; at q = 1021, k = 5 the
+    # digit dots reach past 2^22, so the pencils' W is float32 only because
+    # the fold's guard admits every width below 2^24; past q = 4096 no table
+    # fits, and the sieve keeps every candidate
+    field, rng = field_of_order(q), np.random.default_rng(q)
+    bases = rng.integers(0, q, size=(3, k - 1, k))
+    ps = ProjPointSet(field, k, normalize_rows(field, np.vstack(
+        [_combinations(field, rng.integers(1, q, size=(k, k - 1)), b) for b in bases])).tolist())
+    fulls = set()
+    for sub in itertools.combinations(range(ps.n), k - 1):
+        dual = parity_check(field, ps.coords[list(sub)])
+        if len(dual) == 1 and _table_zero_dots(field, ps.coords, np.array(dual)).sum() == k:
+            fulls.add(tuple(normalize_rows(field, np.array(dual))[0]))
+    assert len(fulls) >= 3  # the planted ones, and any the points span by chance
+    cands = np.vstack([_combinations(field, rng.integers(0, q, size=(300, k - 1)), b) for b in bases]
+                      + [rng.integers(0, q, size=(300, k))])
+    cands = np.unique(normalize_rows(field, cands[cands.any(axis=1)]), axis=0)
+    rng.shuffle(cands)
+    digits = rows_digits(field, cands, gemm_dtype(field, k))
+    on_full = _table_zero_dots(field, cands, np.array(sorted(fulls))).any(axis=1)
+    want = cands[~on_full & ~np.isin(coords_to_enc(cands, q), ps.encs)]
+    assert np.array_equal(geometry.filter_by_fulls(ps, cands, digits), want)
+    w, tables = ps.pencils()
+    sieved, kept = geometry._pencil_sieve(ps, cands, digits)
+    if q > 4096:
+        assert w.shape[1] == len(tables) == 0
+        assert np.array_equal(sieved, cands) and np.array_equal(kept, digits)
+    else:
+        assert len(sieved) < len(cands) - 100  # the pencils do drop candidates
+    if q == 81:
+        assert gf._zero_plan(field, k * field.r)[2].shape == (4, 2)
+    if q == 1021:
+        assert 1 << 22 <= (field.p - 1) ** 2 * k * field.r < 1 << 24 and w.dtype == np.float32
 
 
 def test_the_pencil_sieve_drops_most_candidates_by_table():

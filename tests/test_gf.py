@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import platform
@@ -389,11 +390,22 @@ def test_dot_zero_at_rejects_an_inexact_dtype():
         dot_zero_at_digits(field, rows_digits(field, cols, np.float32), w, np.zeros((2, 1), int))
 
 
+def _callers(source, name):
+    """Names of the functions of ``source`` that call ``name``."""
+    return sorted(f.name for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)
+                  for c in ast.walk(f) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == name)
+
+
 def test_the_fold_is_written_once():
-    # the zero mask, the values and the gathered test read one folded W
+    # one folded W: the one folded product, which the zero mask and the
+    # values read, and the gathered test fold it; the product's matmul is
+    # written once
     source = pathlib.Path(gf.__file__).read_text()
     assert source.count("fold).reshape(") == 1
-    assert source.count("_folded(field,") == 3
+    assert source.count("_folded(field,") == 2
+    assert _callers(source, "_folded") == ["_folded_product", "dot_zero_at_digits"]
+    assert _callers(source, "_folded_product") == ["dot_values_digits", "dot_zero_mask_digits"]
+    assert source.count("wf.T @ digits") == 1
 
 
 def _plan(q, k):

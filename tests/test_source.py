@@ -183,6 +183,23 @@ def test_no_thread_pools_in_the_library():
     assert found == []
 
 
+def test_the_library_writes_one_matmul():
+    # every digit product, the pencil keys included, is gf's one folded
+    # product (gf._folded_product); no module keeps a kernel of its own
+    def matmuls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, tree in trees.items() for _ in matmuls(tree)] == ["gf.py"]
+    assert [f.name for f in ast.walk(trees["gf.py"])
+            if isinstance(f, ast.FunctionDef) and matmuls(f)] == ["_folded_product"]
+
+
+def test_geometry_reduces_nothing_in_floating_point():
+    # residues come from gf's tables, not from a float floor-mod
+    assert [where for where, _, _ in _calls("floor") if where.startswith("geometry.py")] == []
+
+
 def test_the_pencil_sieve_runs_only_inside_the_candidate_filter():
     # filter_by_fulls is the one candidate filter: every caller's candidates
     # pass its pencil sieve, then its set-point exclusion and zero tests
