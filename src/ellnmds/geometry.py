@@ -36,7 +36,6 @@ from .gf import (
     dot_zero_at_digits,
     dot_zero_mask,
     dot_zero_mask_digits,
-    gemm_dtype,
     linear_w_matrix,
     parity_check,
     rows_digits,
@@ -119,6 +118,7 @@ def enc_to_coords(enc: np.ndarray, q: int, k: int) -> np.ndarray:
 
 _REPS_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 _REPS_CACHE_MAX_ROWS = 4_000_000
+_REPS_CHUNK_ROWS = 1 << 16       # rows generated and expanded a step while filling
 
 
 def proj_reps_cached(field: Field, k: int):
@@ -126,10 +126,13 @@ def proj_reps_cached(field: Field, k: int):
 
     Only spaces of at most ``_REPS_CACHE_MAX_ROWS`` points are cached, one
     entry per (p, r, k); :func:`proj_chunks` generates larger ones.  An entry
-    takes 8k + 4kr bytes a row: P^3(F_121), 1.79M rows, takes about 115 MB.
-    An entry is built completely, then published with one setdefault, so
-    threads that race only duplicate the work.  Returns (coords, digits) or
-    None when the space is too large.
+    holds read-only coords at the smallest unsigned type holding q - 1 and
+    digit rows at :func:`rows_digits`' type, k + kr bytes a row for q < 256:
+    P^3(F_121), 1.79M rows, takes about 21 MB.  It is filled
+    ``_REPS_CHUNK_ROWS`` rows at a time, so its build costs one chunk's int64
+    temporaries beyond it, and published with one setdefault, so threads that
+    race only duplicate the work.  Returns (coords, digits) or None when the
+    space is too large.
     """
     size = proj_space_size(field.q, k)
     if size > _REPS_CACHE_MAX_ROWS:
@@ -137,8 +140,14 @@ def proj_reps_cached(field: Field, k: int):
     key = (field.p, field.r, k)
     hit = _REPS_CACHE.get(key)
     if hit is None:
-        coords = np.vstack(list(proj_reps(field, k)))
-        digits = rows_digits(field, coords, gemm_dtype(field, k))
+        coords = np.empty((size, k), dtype=np.min_scalar_type(field.q - 1))
+        digits = np.empty((size, k * field.r), dtype=np.min_scalar_type(field.p - 1))
+        at = 0
+        for chunk in proj_reps(field, k, _REPS_CHUNK_ROWS):
+            coords[at: at + len(chunk)] = chunk
+            digits[at: at + len(chunk)] = rows_digits(field, chunk)
+            at += len(chunk)
+        coords.flags.writeable = digits.flags.writeable = False
         hit = _REPS_CACHE.setdefault(key, (coords, digits))
     return hit
 
@@ -188,9 +197,8 @@ def proj_chunks(field: Field, k: int, rows: int, odd: np.ndarray | None = None):
             at = index[start: start + rows]
             yield np.take(coords, at, axis=0), np.take(digits, at, axis=0)
         return
-    dtype = gemm_dtype(field, k)
     for coords in proj_reps(field, k, rows):
-        yield coords, rows_digits(field, coords, dtype)
+        yield coords, rows_digits(field, coords)
 
 
 _ORBIT_CACHE: dict[tuple, np.ndarray] = {}
@@ -400,7 +408,7 @@ def secant_scan(ps: ProjPointSet, chunk_rows: int | None = None):
     """
     field, k, n = ps.field, ps.k, ps.n
     profile = np.zeros(k + 1, dtype=np.int64)
-    fulls = []
+    fulls = [np.empty((0, k), dtype=np.int64)]  # widens the cached space's narrow rows
     w = ps.w_matrix
     for coords, digits in proj_chunks(field, k, chunk_rows or scan_chunk_rows(field, n)):
         counts = dot_zero_mask_digits(field, digits, w).sum(axis=1)
@@ -490,10 +498,10 @@ def _pencil_sieve(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray):
     lo, batch = 0, 1
     while lo < len(tables) and len(live):
         hi = min(lo + batch, len(tables))
-        values = dot_values_digits(ps.field, digits, w[:, lo * cols: hi * cols]).astype(np.int32)
-        keys = values[:, 0::2] * q + values[:, 1::2]  # a*q + b < q^2 <= 2^24
-        hit = np.take(tables[lo:hi].reshape(-1), keys + np.arange(hi - lo, dtype=np.int32) * q * q)
-        keep = ~hit.any(axis=1)
+        values = dot_values_digits(ps.field, digits, w[:, lo * cols: hi * cols]).T  # (2b, m)
+        offsets = np.arange(hi - lo, dtype=np.int32)[:, None] * q * q  # A q^2 <= 2^24
+        keys = values[0::2].astype(np.int32) * q + values[1::2] + offsets  # a row an axis
+        keep = ~np.logical_or.reduce(np.take(tables[lo:hi].reshape(-1), keys), axis=0)
         live, digits = live[keep], digits[keep]
         lo, batch = hi, 2 * batch
     return cand[live], digits
@@ -731,7 +739,7 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
         hyper = np.vstack(found)
         if on_arc:
             predicted = np.column_stack([subsets, last])
-            if not dot_zero_at_digits(field, rows_digits(field, hyper, w.dtype), w, predicted).all():
+            if not dot_zero_at_digits(field, rows_digits(field, hyper), w, predicted).all():
                 raise InvariantViolated("a group-law hyperplane misses its predicted points")
             encs.append(coords_to_enc(hyper, field.q))
             continue

@@ -614,13 +614,12 @@ def linear_w_matrix(field: Field, cols: np.ndarray, dtype=None) -> np.ndarray:
     return w.reshape(k * r, n * r)
 
 
-def rows_digits(field: Field, rows: np.ndarray, dtype=None) -> np.ndarray:
-    """Digit expansion of row vectors, shape (m, k) -> (m, k*r)."""
+def rows_digits(field: Field, rows: np.ndarray) -> np.ndarray:
+    """Digit expansion of row vectors, shape (m, k) -> (m, k*r), at the
+    smallest unsigned type holding p - 1; the kernels cast to W's dtype."""
     rows = np.asarray(rows, dtype=np.int64)
     m, k = rows.shape
-    if dtype is None:
-        dtype = gemm_dtype(field, k)
-    return field.digits_np(rows).reshape(m, k * field.r).astype(dtype)
+    return field.digits_np(rows).reshape(m, k * field.r).astype(np.min_scalar_type(field.p - 1))
 
 
 def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -773,5 +772,5 @@ def _value_plan(field: Field, kr: int) -> tuple:
 
 def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Boolean mask (m, n): True where the F_q dot product is zero."""
-    return dot_zero_mask_digits(field, rows_digits(field, rows, w.dtype), w)
+    return dot_zero_mask_digits(field, rows_digits(field, rows), w)
 

@@ -154,7 +154,7 @@ def codeword_weights_by_zero_test(code) -> np.ndarray:
     field = code.field
     w = linear_w_matrix(field, code.matrix.T)
     return np.concatenate([
-        code.n - dot_zero_mask_digits(field, rows_digits(field, reps, w.dtype), w).sum(axis=1)
+        code.n - dot_zero_mask_digits(field, rows_digits(field, reps), w).sum(axis=1)
         for reps in proj_reps(field, len(code.rows), scan_chunk_rows(field, code.n))
     ])
 

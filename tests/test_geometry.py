@@ -46,7 +46,6 @@ from ellnmds.gf import (
     dot_zero_mask,
     field_make,
     field_of_order,
-    gemm_dtype,
     linear_w_matrix,
     parity_check,
     rows_digits,
@@ -570,14 +569,43 @@ def test_scans_agree_without_the_reps_cache(monkeypatch):
             for k in (3, 4):
                 arc = arc_make(curve, k)
                 profile, fulls = secant_scan(arc)
+                digits = np.vstack([d for _, d in geometry.proj_chunks(curve.field, k, 50)])
                 out.append((profile.tolist(), fulls.tolist(), addable_points(arc),
-                            min_distance(generator_matrix(curve, k))))
+                            min_distance(generator_matrix(curve, k)),
+                            digits.dtype, digits.tolist()))
         return out
 
     cached = results()
+    assert {row[4] for row in cached} == {np.dtype(np.uint8)}
     monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
     assert geometry.proj_reps_cached(curves[0].field, 3) is None
     assert results() == cached
+
+
+def test_the_cached_space_is_built_in_bounded_memory(monkeypatch):
+    # the entry is filled a chunk at a time into narrow arrays: building
+    # P^3(F_121) costs the entry and one chunk's int64 temporaries, where
+    # stacking the whole space at int64 and expanding it at once takes 10x more
+    field, k = field_of_order(121), 4
+    monkeypatch.delitem(geometry._REPS_CACHE, (field.p, field.r, k), raising=False)
+    tracemalloc.start()
+    try:
+        coords, digits = geometry.proj_reps_cached(field, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords.shape == (1_786_324, k) and digits.shape == (1_786_324, k * field.r)
+    assert coords.dtype == digits.dtype == np.uint8
+    chunk = geometry._REPS_CHUNK_ROWS * (k + k * field.r) * 8  # coords and digits at int64
+    assert peak < coords.nbytes + digits.nbytes + 2 * chunk
+
+
+def test_the_cached_space_cannot_be_mutated():
+    # every caller shares the one entry: a write into a chunk must fail
+    coords, digits = next(geometry.proj_chunks(field_make(7), 3, 10))
+    for rows in (coords, digits):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
 
 
 def test_complete_arc_greedy_matches_naive(monkeypatch):
@@ -846,7 +874,7 @@ def test_the_pencil_sieve_is_exact_on_planted_hyperplanes(q, k):
                       + [rng.integers(0, q, size=(300, k))])
     cands = np.unique(normalize_rows(field, cands[cands.any(axis=1)]), axis=0)
     rng.shuffle(cands)
-    digits = rows_digits(field, cands, gemm_dtype(field, k))
+    digits = rows_digits(field, cands)
     on_full = _table_zero_dots(field, cands, np.array(sorted(fulls))).any(axis=1)
     want = cands[~on_full & ~np.isin(coords_to_enc(cands, q), ps.encs)]
     assert np.array_equal(geometry.filter_by_fulls(ps, cands, digits), want)

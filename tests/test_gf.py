@@ -347,7 +347,7 @@ def test_dot_values_match_scalar_dots(q, k, slab):
     rows = _rows_with_zero_dots(field, rng, 12, cols)
     w = linear_w_matrix(field, cols)
     with mock.patch.object(gf, "_ZERO_SLAB_ELEMS", slab):
-        values = dot_values_digits(field, rows_digits(field, rows, w.dtype), w)
+        values = dot_values_digits(field, rows_digits(field, rows), w)
     assert values.tolist() == [[_scalar_dot(field, x, c) for c in cols] for x in rows]
     assert np.array_equal(values == 0, dot_zero_mask(field, rows, w))
 
@@ -377,7 +377,7 @@ def test_dot_zero_at_matches_the_gathered_mask(qk, m, n, s, slab, seed):
     w = linear_w_matrix(field, points)
     with mock.patch.object(gf, "_ZERO_SLAB_ELEMS", slab):
         want = np.take_along_axis(dot_zero_mask(field, rows, w), cols, axis=1)
-        got = dot_zero_at_digits(field, rows_digits(field, rows, w.dtype), w, cols)
+        got = dot_zero_at_digits(field, rows_digits(field, rows), w, cols)
     assert got.shape == (m, s) and got.dtype == bool
     assert np.array_equal(got, want)
 
@@ -387,7 +387,7 @@ def test_dot_zero_at_rejects_an_inexact_dtype():
     cols = np.ones((2, 3), dtype=np.int64)
     w = linear_w_matrix(field, cols, np.float32)
     with pytest.raises(Overflow):
-        dot_zero_at_digits(field, rows_digits(field, cols, np.float32), w, np.zeros((2, 1), int))
+        dot_zero_at_digits(field, rows_digits(field, cols), w, np.zeros((2, 1), int))
 
 
 def _callers(source, name):
