@@ -577,14 +577,14 @@ def parity_check(field: Field, rows):
 # digit dot products, with no carries because every digit is below B.  All
 # entries and partial sums are non-negative integers below B^g, so the float
 # matmul is exact in any summation order once B^g fits the mantissa.  The
-# F_q dot product is zero when every digit dot product is divisible by p,
-# which a boolean table indexed by the folded value answers in one lookup.
-# Its value is the element whose digit t is dot_t mod p, which a second
-# table, of encodings, reads off the folded value the same way.  One folded
-# product (_folded_product) feeds both: the zero mask reads the first table,
-# the values (and the pencil keys built from them) the second.
+# F_q dot product is the element whose digit t is dot_t mod p; one table of
+# encodings, indexed by the folded value, reads a group's g digits off in
+# one lookup (_encodings), and the product is zero exactly when that
+# encoding is 0.  One folded product (_folded_product) and that one read
+# serve the values (and the pencil keys built from them), the zero mask and
+# the zero test at gathered points.
 
-ZERO_TABLE_MAX = 1 << 22          # largest cached zero table, in one-byte entries
+VALUE_TABLE_MAX = 1 << 22         # entries of the largest cached value table
 _ZERO_SLAB_ELEMS = 1 << 17        # folded entries cast and looked up per step
 
 
@@ -597,14 +597,12 @@ def gemm_dtype(field: Field, k: int) -> type:
     raise Overflow("dot-product digits exceed exact float range")
 
 
-def linear_w_matrix(field: Field, cols: np.ndarray, dtype=None) -> np.ndarray:
+def linear_w_matrix(field: Field, cols: np.ndarray) -> np.ndarray:
     """W of shape (k*r, n*r) for the column set ``cols`` of shape (n, k)."""
     cols = np.asarray(cols, dtype=np.int64)
     n, k = cols.shape
     r = field.r
-    if dtype is None:
-        dtype = gemm_dtype(field, k)
-    w = np.empty((k, r, n, r), dtype=dtype)
+    w = np.empty((k, r, n, r), dtype=gemm_dtype(field, k))
     xpow_enc = 1
     for s in range(r):
         shifted = field.mul_np(cols, np.int64(xpow_enc))  # (n, k)
@@ -622,23 +620,31 @@ def rows_digits(field: Field, rows: np.ndarray) -> np.ndarray:
     return field.digits_np(rows).reshape(m, k * field.r).astype(np.min_scalar_type(field.p - 1))
 
 
+def dot_values_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Element encodings (m, n) of the dot products of digit rows (m, k*r)
+    with the points of W (k*r, n*r): :func:`_encodings` of each slab of
+    :func:`_folded_product`, at the smallest unsigned type holding q - 1, as
+    the (m, n) transpose of a point-major array.
+    """
+    plan = _fold_plan(field, digits.shape[1])
+    out = np.empty((w.shape[1] // field.r, len(digits)), dtype=plan[-1])
+    for cols, vals in _folded_product(field, digits, w):
+        out[:, cols] = _encodings(field, plan, vals)
+    return out.T
+
+
 def dot_zero_mask_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Zero-dot mask (m, n) from digit rows (m, k*r) and W (k*r, n*r).
 
-    Looks each folded value v of :func:`_folded_product` up in the cached
-    table ``zero[v]`` (every radix-B digit of v divisible by p), or tests
-    ``v % p == 0`` where there is none (g = 1), ANDing the groups.  The mask
-    is the (m, n) transpose of a point-major array, so the per-row sum and
-    any that every caller takes run over contiguous memory.
+    :func:`dot_values_digits`' encodings, compared with 0 one slab at a
+    time, so no (m, n) array of values is ever held.  The mask is the (m, n)
+    transpose of a point-major array, so the per-row sum and any that every
+    caller takes run over contiguous memory.
     """
-    p = field.p
-    table, slabs = _folded_product(field, digits, w)
+    plan = _fold_plan(field, digits.shape[1])
     out = np.empty((w.shape[1] // field.r, len(digits)), dtype=bool)
-    for cols, vals in slabs:
-        hits = vals % p == 0 if table is None else np.take(table, vals, mode="clip")
-        for c in range(1, len(hits)):
-            hits[0] &= hits[c]
-        out[:, cols] = hits[0]
+    for cols, vals in _folded_product(field, digits, w):
+        out[:, cols] = _encodings(field, plan, vals) == 0
     return out.T
 
 
@@ -647,130 +653,98 @@ def dot_zero_at_digits(field: Field, digits: np.ndarray, w: np.ndarray,
     """Zero-dot mask (m, s): row i's digits (m, k*r) against point ``cols[i, j]``
     of W (k*r, n*r), only at those points.
 
-    :func:`dot_zero_mask_digits`' test, folded the same way (:func:`_folded`),
-    on the folded columns gathered per row, (m, s, groups, k*r): one exact
-    row-by-row product, then the zero table, or ``v % p`` where there is none,
-    with the groups ANDed.  The gather takes s * groups * k*r entries of
-    ``w.dtype`` a row; callers bound m.
+    The same fold (:func:`_folded`) and read (:func:`_encodings`) as
+    :func:`dot_zero_mask_digits`, on the folded columns gathered per row,
+    (m, s, groups, k*r): one exact row-by-row product, group-major.  The
+    gather takes s * groups * k*r entries of ``w.dtype`` a row; callers
+    bound m.
     """
-    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
+    wf, plan = _folded(field, digits.shape[1], w)
+    _, idtype, fold, *_ = plan
     per_point = wf.reshape(len(wf), fold.shape[1], -1).transpose(2, 1, 0)  # (n, groups, k*r)
-    vals = np.einsum("mi,msgi->msg", digits.astype(w.dtype, copy=False),
+    vals = np.einsum("mi,msgi->gms", digits.astype(w.dtype, copy=False),
                      per_point[cols]).astype(idtype)
-    hits = vals % field.p == 0 if table is None else np.take(table, vals, mode="clip")
-    return hits.all(axis=2)
+    return _encodings(field, plan, vals) == 0
+
+
+def _encodings(field: Field, plan: tuple, vals: np.ndarray) -> np.ndarray:
+    """Element encodings of folded values ``vals`` (groups, ...): each value
+    read in the value table, or ``v % p`` where there is none (g = 1), with
+    group c weighted by p^(c*g).  Every value lies below B^g, so the table
+    is read with mode 'clip', which skips numpy's buffered bounds check."""
+    p = field.p
+    _, _, _, g, values, _ = plan
+    enc = vals % p if values is None else np.take(values, vals, mode="clip")
+    for c in range(1, len(enc)):
+        enc[0] += enc[c] * p ** (c * g)
+    return enc[0]
 
 
 def _folded(field: Field, kr: int, w: np.ndarray) -> tuple:
-    """(W folded group-major, fold matrix, integer dtype, zero table or None)
-    for digit rows of width kr (:func:`_zero_plan`): group c of point j is
-    column c*n + j.  float32 and float64 hold every integer below 2^24 and 2^53
-    exactly; a ``w.dtype`` that cannot hold B^g - 1 raises Overflow."""
+    """(W folded group-major, :func:`_fold_plan`) for digit rows of width kr:
+    group c of point j is column c*n + j.  float32 and float64 hold every
+    integer below 2^24 and 2^53 exactly; a ``w.dtype`` that cannot hold
+    B^g - 1 raises Overflow."""
     r = field.r
-    top, idtype, fold, table = _zero_plan(field, kr)
+    plan = _fold_plan(field, kr)
+    top, _, fold, *_ = plan
     if top >= 1 << (np.finfo(w.dtype).nmant + 1):
         raise Overflow("dot-product digits exceed the exact range of the matmul dtype")
     groups, n = fold.shape[1], w.shape[1] // r
     wf = w if r == 1 else np.dot(w.reshape(kr * n, r), fold).reshape(
         kr, n, groups).transpose(0, 2, 1).reshape(kr, groups * n)
-    return wf, fold, idtype, table
+    return wf, plan
 
 
-def _folded_product(field: Field, digits: np.ndarray, w: np.ndarray) -> tuple:
-    """(zero table or None, slabs): W (k*r, n*r) folded by :func:`_folded`
-    meets the digit rows (m, k*r) in one exact matmul, point-major; ``slabs``
-    yields (cols, vals), vals[c, j, i] the folded value of group c of row
-    cols[i]'s dot with point j, cast to the integer dtype about
-    ``_ZERO_SLAB_ELEMS`` entries at a time, which bounds the integer copy.
-    Every value lies below B^g, so the tables are read with mode 'clip',
-    which skips numpy's buffered bounds check."""
-    wf, fold, idtype, table = _folded(field, digits.shape[1], w)
+def _folded_product(field: Field, digits: np.ndarray, w: np.ndarray):
+    """Slabs (cols, vals) of the one exact matmul, point-major, of W (k*r, n*r)
+    folded by :func:`_folded` with the digit rows (m, k*r): vals[c, j, i] is
+    the folded value of group c of row cols[i]'s dot with point j, cast to
+    the integer dtype about ``_ZERO_SLAB_ELEMS`` entries at a time, which
+    bounds the integer copy.  The fold, its Overflow check and the matmul
+    run on the call; only the casts wait for the slabs to be read."""
+    wf, (_, idtype, fold, *_) = _folded(field, digits.shape[1], w)
     groups, n = fold.shape[1], w.shape[1] // field.r
     prod = (wf.T @ digits.astype(w.dtype, copy=False).T).reshape(groups, n, len(digits))
     step = max(1, _ZERO_SLAB_ELEMS // max(1, groups * n))
-    def slabs():
-        for start in range(0, len(digits), step):
-            cols = slice(start, start + step)
-            yield cols, prod[..., cols].astype(idtype)
-    return table, slabs()
+    cols = (slice(start, start + step) for start in range(0, len(digits), step))
+    return ((c, prod[..., c].astype(idtype)) for c in cols)
 
 
-def _zero_plan(field: Field, kr: int) -> tuple:
-    """(B^g - 1, its integer dtype, fold matrix (r, ceil(r/g)), zero table or
-    None) for digit rows of width kr.  g is the largest group size with
-    B^g <= ZERO_TABLE_MAX, so a table holds at most 2^22 booleans (4 MiB); when
-    B alone exceeds that, g = 1 and there is none.
+def _fold_plan(field: Field, kr: int) -> tuple:
+    """(B^g - 1, its integer dtype, fold matrix (r, ceil(r/g)), g, value table
+    or None, encoding dtype) for digit rows of width kr.  g is the largest
+    group size with B^g <= VALUE_TABLE_MAX; the table holds the encoding
+    sum_t p^t * (digit_t(v) mod p) of every folded value v below B^g, at the
+    smallest unsigned type holding q - 1.  When B alone exceeds
+    VALUE_TABLE_MAX, g = 1 and there is none.
 
     Cached in ``field._np_cache``: built completely, then published with one
     setdefault, so threads that race only duplicate the work.
     """
-    key = ("zero", kr)
+    key = ("fold", kr)
     plan = field._np_cache.get(key)
     if plan is None:
-        p, r = field.p, field.r
+        p, r, dtype = field.p, field.r, np.min_scalar_type(field.q - 1)
         base = (p - 1) ** 2 * kr + 1
         g = 1
-        while g < r and base ** (g + 1) <= ZERO_TABLE_MAX:
+        while g < r and base ** (g + 1) <= VALUE_TABLE_MAX:
             g += 1
         fold = np.zeros((r, -(-r // g)), dtype=np.float32)
         for t in range(r):
             fold[t, t // g] = base ** (t % g)
-        table = None
-        if base <= ZERO_TABLE_MAX:
-            digit_zero = np.zeros(base, dtype=bool)
-            digit_zero[::p] = True
-            table = digit_zero
-            for _ in range(g - 1):
-                table = (digit_zero[:, None] & table[None, :]).reshape(-1)
-        top = base**g - 1
-        plan = field._np_cache.setdefault(key, (top, np.min_scalar_type(top), fold, table))
-    return plan
-
-
-def dot_values_digits(field: Field, digits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Element encodings (m, n) of the dot products of digit rows (m, k*r)
-    with the points of W (k*r, n*r).
-
-    Reads each folded value of :func:`_folded_product` in the value table
-    (:func:`_value_plan`), or takes ``v % p`` where there is none (g = 1); the
-    ceil(r/g) groups combine as the digits c*g.. of the result.  Encodings
-    come at the smallest unsigned type holding q - 1, as the (m, n) transpose
-    of a point-major array.
-    """
-    p = field.p
-    _, slabs = _folded_product(field, digits, w)
-    values, g, dtype = _value_plan(field, digits.shape[1])
-    out = np.empty((w.shape[1] // field.r, len(digits)), dtype=dtype)
-    for cols, vals in slabs:
-        enc = vals % p if values is None else np.take(values, vals, mode="clip")
-        for c in range(1, len(enc)):
-            enc[0] += enc[c] * p ** (c * g)
-        out[:, cols] = enc[0]
-    return out.T
-
-
-def _value_plan(field: Field, kr: int) -> tuple:
-    """(value table or None, g, encoding dtype) for digit rows of width kr: the
-    encoding sum_t p^t * (digit_t(v) mod p) of every folded value v below B^g
-    where :func:`_zero_plan` has a zero table, cached the same way."""
-    key = ("values", kr)
-    plan = field._np_cache.get(key)
-    if plan is None:
-        p, dtype = field.p, np.min_scalar_type(field.q - 1)
-        _, _, fold, table = _zero_plan(field, kr)
-        g = int(np.count_nonzero(fold[:, 0]))  # digits a group
         values = None
-        if table is not None:
-            digit = (np.arange((p - 1) ** 2 * kr + 1) % p).astype(dtype)
+        if base <= VALUE_TABLE_MAX:
+            digit = (np.arange(base) % p).astype(dtype)
             values = digit
             for j in range(1, g):
                 values = (digit[:, None] * p**j + values[None, :]).reshape(-1)
             values.flags.writeable = False
-        plan = field._np_cache.setdefault(key, (values, g, dtype))
+        top = base**g - 1
+        plan = field._np_cache.setdefault(key, (top, np.min_scalar_type(top), fold, g, values, dtype))
     return plan
 
 
 def dot_zero_mask(field: Field, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Boolean mask (m, n): True where the F_q dot product is zero."""
     return dot_zero_mask_digits(field, rows_digits(field, rows), w)
-

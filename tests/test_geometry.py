@@ -886,7 +886,7 @@ def test_the_pencil_sieve_is_exact_on_planted_hyperplanes(q, k):
     else:
         assert len(sieved) < len(cands) - 100  # the pencils do drop candidates
     if q == 81:
-        assert gf._zero_plan(field, k * field.r)[2].shape == (4, 2)
+        assert gf._fold_plan(field, k * field.r)[2].shape == (4, 2)
     if q == 1021:
         assert 1 << 22 <= (field.p - 1) ** 2 * k * field.r < 1 << 24 and w.dtype == np.float32
 

@@ -385,7 +385,7 @@ def test_dot_zero_at_matches_the_gathered_mask(qk, m, n, s, slab, seed):
 def test_dot_zero_at_rejects_an_inexact_dtype():
     field = field_of_order(4099)
     cols = np.ones((2, 3), dtype=np.int64)
-    w = linear_w_matrix(field, cols, np.float32)
+    w = linear_w_matrix(field, cols).astype(np.float32)
     with pytest.raises(Overflow):
         dot_zero_at_digits(field, rows_digits(field, cols), w, np.zeros((2, 1), int))
 
@@ -399,19 +399,24 @@ def _callers(source, name):
 def test_the_fold_is_written_once():
     # one folded W: the one folded product, which the zero mask and the
     # values read, and the gathered test fold it; the product's matmul is
-    # written once
+    # written once, and all three read folded values through one helper
+    # and one plan
     source = pathlib.Path(gf.__file__).read_text()
     assert source.count("fold).reshape(") == 1
     assert source.count("_folded(field,") == 2
     assert _callers(source, "_folded") == ["_folded_product", "dot_zero_at_digits"]
     assert _callers(source, "_folded_product") == ["dot_values_digits", "dot_zero_mask_digits"]
+    assert _callers(source, "_encodings") == [
+        "dot_values_digits", "dot_zero_at_digits", "dot_zero_mask_digits"]
     assert source.count("wf.T @ digits") == 1
+    defined = {f.name for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)}
+    assert defined & {"_zero_plan", "_value_plan"} == set()
 
 
 def _plan(q, k):
     field = field_of_order(q)
-    top, _, fold, table = gf._zero_plan(field, k * field.r)
-    return field, top, fold.shape[1], table
+    top, _, fold, _, values, _ = gf._fold_plan(field, k * field.r)
+    return field, top, fold.shape[1], values
 
 
 def test_fold_branch_cases_reach_their_branch():
@@ -420,32 +425,41 @@ def test_fold_branch_cases_reach_their_branch():
         assert 1 < groups < field.r and table is not None
     for q, k in _REMAINDER:
         _, top, _, table = _plan(q, k)
-        assert table is None and top >= gf.ZERO_TABLE_MAX
+        assert table is None and top >= gf.VALUE_TABLE_MAX
     (q_small, k_small), (q_large, k_large) = _AT_LIMIT
     _, top, _, table = _plan(q_small, k_small)
-    assert table is not None and 0.99 * gf.ZERO_TABLE_MAX < top + 1 <= gf.ZERO_TABLE_MAX
+    assert table is not None and 0.99 * gf.VALUE_TABLE_MAX < top + 1 <= gf.VALUE_TABLE_MAX
     field, top, _, table = _plan(q_large, k_large)
     assert table is None and gemm_dtype(field, k_large) is np.float32
     assert 0.99 * (1 << 24) < top < 1 << 24
 
 
-def test_zero_table_marks_exactly_the_all_divisible_numbers():
+def test_the_value_table_is_exact():
+    # entry v is the encoding whose digit t is radix-B digit t of v mod p,
+    # so it is 0 exactly where every radix-B digit of v is divisible by p
     for q, k in [(9, 3), (27, 3), (13, 4)]:
         field, top, _, table = _plan(q, k)
-        base = (field.p - 1) ** 2 * k * field.r + 1
+        p = field.p
+        base = (p - 1) ** 2 * k * field.r + 1
         v = np.arange(top + 1)
-        expected = np.ones(v.size, dtype=bool)
+        encodings = np.zeros(v.size, dtype=np.int64)
+        all_divisible = np.ones(v.size, dtype=bool)
+        t = 0
         while v.any():
-            expected &= v % base % field.p == 0
+            encodings += p**t * (v % base % p)
+            all_divisible &= v % base % p == 0
             v //= base
+            t += 1
         assert top + 1 in (base**g for g in range(1, field.r + 1))
-        assert np.array_equal(table, expected)
+        assert table.dtype == np.min_scalar_type(q - 1)
+        assert np.array_equal(table, encodings)
+        assert np.array_equal(table == 0, all_divisible)
 
 
 def test_dot_zero_mask_rejects_an_inexact_dtype():
     field = field_of_order(4099)
     cols = np.ones((2, 3), dtype=np.int64)
-    w = linear_w_matrix(field, cols, np.float32)
+    w = linear_w_matrix(field, cols).astype(np.float32)
     with pytest.raises(Overflow):
         dot_zero_mask(field, cols, w)
 
@@ -455,6 +469,7 @@ def test_zero_table_cache_is_shared_across_threads():
     rng = np.random.default_rng(5)
     cols = rng.integers(0, field.q, size=(30, 4))
     rows = _rows_with_zero_dots(field, rng, 400, cols)
+    at = rng.integers(0, len(cols), size=(len(rows), 3))
     workers = 6
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -462,7 +477,9 @@ def test_zero_table_cache_is_shared_across_threads():
     def work(i):
         start.wait(timeout=30)
         w = linear_w_matrix(field, cols)
-        results[i] = (dot_zero_mask(field, rows, w), gf._zero_plan(field, 8))
+        digits = rows_digits(field, rows)
+        results[i] = (dot_zero_mask(field, rows, w), dot_values_digits(field, digits, w),
+                      dot_zero_at_digits(field, digits, w, at), gf._fold_plan(field, 8))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -475,14 +492,18 @@ def test_zero_table_cache_is_shared_across_threads():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
-    masks, plans = zip(*results)
+    masks, values, gathered, plans = zip(*results)
     expected = [[_scalar_dot(field, x, c) == 0 for c in cols] for x in rows[:40]]
     assert masks[0][:40].tolist() == expected
     assert all(np.array_equal(mk, masks[0]) for mk in masks)
-    cached = field._np_cache[("zero", 8)]
+    assert all(np.array_equal(v, values[0]) for v in values)
+    assert np.array_equal(values[0] == 0, masks[0])
+    assert all(np.array_equal(z, np.take_along_axis(masks[0], at, axis=1)) for z in gathered)
+    # one kernel plan for the digit width, shared by all three readers
+    assert [key for key in field._np_cache if isinstance(key, tuple)] == [("fold", 8)]
+    cached = field._np_cache[("fold", 8)]
     assert all(plan is cached for plan in plans)
-    assert [key for key in field._np_cache if key[0] == "zero"] == [("zero", 8)]
-    assert cached[3].size == cached[0] + 1 <= gf.ZERO_TABLE_MAX
+    assert cached[4].size == cached[0] + 1 <= gf.VALUE_TABLE_MAX
 
 
 def test_factor_prime_power():
