@@ -498,10 +498,13 @@ def verify_main_theorem(curve: EllipticCurve, k: int, budget: Budget | None = No
                         force: bool = False, workers: int = 1) -> VerdictReport:
     """Check the non-extendability conclusions for one curve and dimension.
 
-    k=3 and k=4 run full addable scans; k=5 tests the candidate family
-    exactly and samples witness hyperplanes for non-candidates; k=6 samples
-    witness hyperplanes across the ambient space, at ``sample`` points (None:
-    the default, 0: none, negative: ValueError).  ``workers`` is ignored.
+    k=3 and k=4 find every addable point (:func:`addable_points`: at k=3 a
+    filter of P^2, at k=4 a filter of P^2 and of the q lifts of its survivors,
+    by projection from O); k=5 tests the candidate family exactly, samples
+    witness hyperplanes for non-candidates, and runs the whole-space answer
+    when the budget admits its charge; k=6 samples witness hyperplanes across
+    the ambient space, at ``sample`` points (None: the default, 0: none,
+    negative: ValueError).  ``workers`` is ignored.
     """
     if k not in (3, 4, 5, 6):
         raise ValueError("the verified claims concern k in {3, 4, 5, 6}")

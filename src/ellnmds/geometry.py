@@ -9,6 +9,9 @@ follow that order.
 Point sets take full hyperplanes, and arcs their section profile, from the group
 law; the addable-point filter and :func:`secant_scan`, the tests' reference, run
 on a digit level matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
+An elliptic arc at k >= 4 finds its addable points by projection from O: one
+filter pass over P^(k-2) against the arc one dimension down, then the q lifts of
+the survivors; other sets, and arcs at k = 3, filter all of P^(k-1).
 """
 
 from __future__ import annotations
@@ -337,10 +340,18 @@ class ProjPointSet:
 
     def walk(self) -> np.ndarray:
         """:func:`full_hyperplanes_via_subsets` of the set, run on the first call and
-        kept read-only; callers charge it."""
+        kept read-only; callers charge it.  An elliptic arc's walk holds one
+        hyperplane per zero-sum k-subset, or InvariantViolated is raised: its
+        count Z_k (``zero_sum_counts``) sees a hyperplane the walk never reached."""
         if self._fulls is None:
-            self._fulls = full_hyperplanes_via_subsets(self)
-            self._fulls.flags.writeable = False
+            fulls = full_hyperplanes_via_subsets(self)
+            if isinstance(self, EllipticArc):
+                z = self.curve.zero_sum_counts(self.k)[self.k]
+                if len(fulls) != z:
+                    raise InvariantViolated(f"the walk holds {len(fulls)} full hyperplanes, "
+                                            f"not the Z_k = {z} zero-sum k-subsets")
+            fulls.flags.writeable = False
+            self._fulls = fulls
         return self._fulls
 
     def pencils(self):
@@ -515,16 +526,21 @@ def filter_by_fulls(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray) -> n
     hyperplanes are the set's kept :meth:`ProjPointSet.walk`.  The pencil sieve
     (:func:`_pencil_sieve`) runs first: a pencil drops about (n-k)/(2(q+1)) of
     the candidates for one key lookup, where one zero test drops 1/q.  The set's
-    own points go next, then the survivors meet the walk in doubling batches of
-    exact zero tests.  A candidate dropped by the sieve lies on a member with k
-    set points, a full hyperplane, so the result is exact.
+    own points go next, then the survivors meet the walk (:func:`_off_walk`).
+    A candidate dropped by the sieve lies on a member with k set points, a full
+    hyperplane, so the result is exact.
     """
     if len(cand) == 0:
         return cand
-    field, fulls = ps.field, ps.walk()
     cand, digits = _pencil_sieve(ps, cand, digits)
-    keep = ~np.isin(coords_to_enc(cand, field.q), ps.encs)
-    cand, digits = cand[keep], digits[keep]
+    keep = ~np.isin(coords_to_enc(cand, ps.field.q), ps.encs)
+    return _off_walk(ps, cand[keep], digits[keep])
+
+
+def _off_walk(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The candidates on no hyperplane of the set's kept walk, in their order:
+    exact zero tests against the walk in doubling batches."""
+    field, fulls = ps.field, ps.walk()
     pos = 0
     batch = _FULLS_START_BATCH
     while pos < len(fulls) and len(cand):
@@ -538,14 +554,17 @@ def filter_by_fulls(ps: ProjPointSet, cand: np.ndarray, digits: np.ndarray) -> n
 
 def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple[int, ...]]:
     """All external points every hyperplane through which meets the set
-    in at most k-1 points.
+    in at most k-1 points, in the canonical point order.
 
-    Walks the k-secant (full) hyperplanes through :meth:`ProjPointSet.fulls`, then
-    runs one point of each orbit of the set's :func:`_negation_group` on P^(k-1),
-    a chunk at a time, through :func:`filter_by_fulls`, and returns the survivors'
-    orbits.  Results follow the canonical point order.
+    An elliptic arc with k >= 4 projects from O (:func:`_projected_addable`).
+    Any other set walks its full hyperplanes through :meth:`ProjPointSet.fulls`,
+    then runs one point of each orbit of its :func:`_negation_group` on
+    P^(k-1), a chunk at a time, through :func:`filter_by_fulls`, and returns
+    the survivors' orbits.
     """
     field, k = ps.field, ps.k
+    if isinstance(ps, EllipticArc) and k >= 4:
+        return list(map(tuple, _projected_addable(ps, budget).tolist()))
     odd = _negation_group(ps, budget)
     found = [np.empty((0, k), dtype=np.int64)]
     for coords, digits in proj_chunks(field, k, scan_chunk_rows(field, ps.n), odd):
@@ -555,6 +574,48 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
         encs = np.concatenate([coords_to_enc(found, field.q), negated_encs(field, found, odd)])
         found = enc_to_coords(np.unique(encs), field.q, k)
     return list(map(tuple, found.tolist()))
+
+
+def _affine_part(arc: EllipticArc) -> ProjPointSet:
+    """A_(k-1) less O as a plain set: the affine points of ``arc_make(curve, k - 1)``,
+    kept with that arc's walk less its hyperplanes through O, the duals whose
+    last coordinate is 0.  Neither walk is charged."""
+    low = arc_make(arc.curve, arc.k - 1)
+    part = ProjPointSet(arc.field, arc.k - 1, low.coords[:-1])
+    walk = low.walk()
+    part._fulls = walk[walk % arc.field.q != 0]
+    part._fulls.flags.writeable = False
+    return part
+
+
+def _projected_addable(arc: EllipticArc, budget: Budget | None) -> np.ndarray:
+    """Addable points of an elliptic arc with k >= 4, by projection from O.
+
+    Dropping the last coordinate maps the affine points of A_k onto those of
+    A_(k-1) (:func:`_affine_part`), and a full hyperplane h of that part lifts
+    to the full hyperplane (h, 0) of A_k through O.  So an addable point
+    (x, t) has x in Add', the points of P^(k-2) on no full hyperplane of the
+    part, its own points included; the part's points are checked against its
+    walk alone (:func:`_off_walk`), as :func:`filter_by_fulls` drops them.
+    The q lifts (x, t) of Add', in bounded chunks, are then filtered exactly
+    against the arc.  At k = 3 the projection to P^1 is not injective, P and
+    -P sharing x.  The arc's walk is charged (:meth:`ProjPointSet.fulls`)
+    before the part is built."""
+    field, k, q = arc.field, arc.k, arc.field.q
+    arc.fulls(budget)
+    part = _affine_part(arc)
+    rows = scan_chunk_rows(field, arc.n)
+    base = [filter_by_fulls(part, coords, digits)
+            for coords, digits in proj_chunks(field, k - 1, rows)]
+    base.append(_off_walk(part, part.coords, rows_digits(field, part.coords)))
+    base = np.vstack(base).astype(np.int64)
+    base = base[np.argsort(coords_to_enc(base, q))]
+    found, step = [np.empty((0, k), dtype=np.int64)], max(1, rows // q)
+    for lo in range(0, len(base), step):
+        x = np.repeat(base[lo: lo + step], q, axis=0)
+        cand = np.column_stack([x, np.tile(np.arange(q), len(x) // q)])
+        found.append(filter_by_fulls(arc, cand, rows_digits(field, cand)))
+    return np.vstack(found)
 
 
 def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | None:
@@ -709,6 +770,8 @@ def full_hyperplanes_via_subsets(ps: ProjPointSet) -> np.ndarray:
     step = scan_chunk_rows(field, n)
     arc_windows, encs, x_encs, n_known = (), [], [], 0
     if isinstance(ps, EllipticArc):
+        if n != ps.curve.n:
+            raise InvariantViolated(f"an arc of {n} points on a curve of {ps.curve.n}")
         add, neg = ps.curve.addition_table, ps.curve.negation
         sums = np.full(len(members), n - 1, dtype=add.dtype)
         for col in members.T:  # group sums of the (k-2)-subsets

@@ -295,9 +295,11 @@ def test_each_point_set_is_scanned_once_and_each_code_enumerated_once(capsys, mo
 def test_a_non_eager_arc_reports_its_golden(monkeypatch, argv, profiles):
     # no arc is scanned: the arc command takes its profile from the group
     # law, and every completion round walks the group law for its full
-    # hyperplanes, charged at the scan's estimate
-    calls = []
-    counts = EllipticCurve.zero_sum_counts
+    # hyperplanes, charged at the scan's estimate.  Each arc walk checks its
+    # length against Z_k: the k = 4 arc's, and the k = 3 arc's that its
+    # addable points are projected onto
+    calls, walks = [], []
+    counts, walk = EllipticCurve.zero_sum_counts, geometry.full_hyperplanes_via_subsets
 
     def no_scan(*args, **kwargs):
         raise AssertionError("secant_scan ran on an arc-led set")
@@ -308,9 +310,13 @@ def test_a_non_eager_arc_reports_its_golden(monkeypatch, argv, profiles):
 
     monkeypatch.setattr(geometry, "secant_scan", no_scan)
     monkeypatch.setattr(EllipticCurve, "zero_sum_counts", counting)
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                        lambda ps: walks.extend([ps.k] * isinstance(ps, geometry.EllipticArc))
+                        or walk(ps))
     golden = _load_goldens()[" ".join(argv)]
     assert run_normalized(argv, None) == (golden["exit"], golden["stdout"])
-    assert len(calls) == profiles
+    assert sorted(walks) == [3, 4]
+    assert len(calls) == profiles + len(walks)
 
 
 def test_optional_k5_scan_runs_on_exactly_the_unrestricted_spend():
@@ -331,7 +337,8 @@ def test_optional_k5_scan_runs_on_exactly_the_unrestricted_spend():
 def test_k5_verdict_walks_each_point_set_once(monkeypatch):
     # the candidate rounds and the optional whole-space check read the arc's
     # kept walk, so a budget that admits the check walks the arc once, and
-    # the report stays the golden's
+    # the report stays the golden's; the check then walks the k = 4 arc it
+    # projects onto from O
     argv = ["verify", "--q", "11", "--curve", "0,0,0,1,4", "--k", "5", "--force",
             "--sample", "200"]
     walked, real = [], geometry.full_hyperplanes_via_subsets
@@ -342,4 +349,5 @@ def test_k5_verdict_walks_each_point_set_once(monkeypatch):
     assert (code, stdout) == (golden["exit"], golden["stdout"])
     assert "full ambient scan ran" in json.loads(stdout)["notes"]
     assert isinstance(walked[0], geometry.EllipticArc)
-    assert [ps.n for ps in walked] == [walked[0].n, walked[0].n + 1, walked[0].n + 2]
+    assert [ps.n for ps in walked] == [walked[0].n, walked[0].n + 1, walked[0].n + 2, walked[0].n]
+    assert isinstance(walked[-1], geometry.EllipticArc) and walked[-1].k == 4

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellnmds import extendability
+from ellnmds import extendability, geometry
 from ellnmds.curve import INFINITY, curve_make, curve_scan, short_curve
 from ellnmds.errors import (
     Budget,
+    BudgetExceeded,
     DimensionMismatch,
     HypothesisNotMet,
     InvariantViolated,
@@ -249,6 +250,35 @@ def test_verify_sample_counts():
     with pytest.raises(InvariantViolated):
         budget.charge("witness_sample", -1)
     assert budget.spent == 0
+
+
+def test_a_refused_k5_check_walks_nothing_after_its_charge(monkeypatch):
+    # the optional whole-space check charges before it projects from O: a
+    # budget one short of the unrestricted spend refuses it, and no walk, of
+    # the arc or of the k = 4 arc below it, runs after the refusal, nor the
+    # k = 4 arc's before it
+    curve = curve_make(field_make(11), (0, 0, 0, 1, 4))
+    events, real = [], geometry.full_hyperplanes_via_subsets
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                        lambda ps: events.append(("walk", ps.k)) or real(ps))
+
+    class RecordingBudget(Budget):
+        def charge(self, label, estimate):
+            try:
+                super().charge(label, estimate)
+            except BudgetExceeded:
+                events.append(("refused", label))
+                raise
+
+    full = verify_main_theorem(curve, 5, Budget(None), sample=200, force=True)
+    assert "full ambient scan ran" in full.notes and events[-1] == ("walk", 4)
+    events.clear()
+    report = verify_main_theorem(curve, 5, RecordingBudget(full.budget_spent - 1), sample=200,
+                                 force=True)
+    assert "optional full ambient scan skipped (budget)" in report.notes
+    assert ("walk", 5) in events and ("walk", 4) not in events
+    assert events[-1] == ("refused", "hyperplane_scan")
+    assert report.addable == full.addable
 
 
 def test_verify_main_gates():

@@ -21,7 +21,7 @@ from ellnmds.errors import (
     KOutOfRange,
     Singular,
 )
-from ellnmds.extendability import choose_frame, k5_candidates
+from ellnmds.extendability import choose_frame, k5_candidates, transform_curve
 from ellnmds.geometry import (
     ProjPointSet,
     addable_filter,
@@ -56,12 +56,15 @@ from reference import incidence
 # ---- independent oracles for prime fields (no library arithmetic) ----------
 
 
+@functools.lru_cache(maxsize=None)
 def prime_proj_reps(q, k):
     reps = []
     for lead in range(k - 1, -1, -1):
         for tail in itertools.product(range(q), repeat=k - 1 - lead):
             reps.append((0,) * lead + (1,) + tail)
-    return np.array(reps, dtype=np.int64)
+    reps = np.array(reps, dtype=np.int64)
+    reps.flags.writeable = False
+    return reps
 
 
 def naive_addable(q, k, arc_rows):
@@ -70,15 +73,10 @@ def naive_addable(q, k, arc_rows):
     counts = ((reps @ arc.T) % q == 0).sum(axis=1)
     assert counts.max() <= k
     fulls = reps[counts == k]
-    arc_set = {tuple(r) for r in arc_rows}
-    out = []
-    for pt in reps:
-        t = tuple(int(v) for v in pt)
-        if t in arc_set:
-            continue
-        if len(fulls) == 0 or ((fulls @ pt) % q != 0).all():
-            out.append(t)
-    return out
+    place = q ** np.arange(k - 1, -1, -1)
+    off_arc = ~np.isin(reps @ place, arc @ place)
+    blocked = ((reps @ fulls.T.astype(np.float64)) % q == 0).any(axis=1)  # exact: sums < 2^53
+    return list(map(tuple, reps[off_arc & ~blocked].tolist()))
 
 
 def naive_max_secant(q, k, arc_rows):
@@ -932,6 +930,80 @@ def test_a_pencil_member_over_k_points_is_refused():
         pencil_tables(ps)
 
 
+# ---- projection from O -------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_projection_from_o_matches_the_prime_field_oracle(q):
+    # every curve at k = 4..6: the addable points found through P^(k-2) and
+    # the lifts of Add' are the naive oracle's over all of P^(k-1)
+    for curve in curve_scan(field_make(q)):
+        for k in range(4, min(6, curve.n - 1) + 1):
+            arc = arc_make(curve, k)
+            assert addable_points(arc) == naive_addable(q, k, arc.points)
+
+
+def test_projection_from_o_matches_the_whole_space_filter():
+    # every 100th curve of q = 9, 11, 13 and a random model of each (a1 and
+    # a2 mostly nonzero), at k = 4, 5, and at k = 6 on q = 9: the library's
+    # P^(k-1) filter on a plain copy, which walks its spans and reads every
+    # point, is the reference
+    checked = 0
+    for q in (9, 11, 13):
+        field, rng = field_of_order(q), np.random.default_rng(q)
+        for curve in list(curve_scan(field))[::100]:
+            u, r, s, t = (int(v) for v in rng.integers(1, q, 4))
+            for model in (curve, transform_curve(curve, u, r, s, t)):
+                for k in range(4, min(6 if q == 9 else 5, model.n - 1) + 1):
+                    arc = arc_make(model, k)
+                    assert addable_points(arc) == addable_points(ProjPointSet(field, k, arc.points))
+                    checked += 1
+    assert checked >= 150
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from([5, 7, 9, 11, 13, 25, 27]), data=st.data())
+def test_projection_from_o_matches_the_whole_space_filter_on_any_model(q, data):
+    field = field_of_order(q)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=5))
+    try:
+        curve = curve_make(field, coeffs)
+    except Singular:
+        assume(False)
+    assume(curve.n >= 5)
+    k = data.draw(st.integers(4, min(4 if q > 13 else 5, curve.n - 1)))
+    arc = arc_make(curve, k)
+    assert addable_points(arc) == addable_points(ProjPointSet(field, k, arc.points))
+
+
+def test_an_own_point_of_the_lower_arc_lifts_to_addable_points():
+    # (1, 1, 1) is an affine point of A_3 on no full line of A_3 less O, and
+    # its lifts off A_4 are addable: a base pass that dropped the lower set's
+    # own points, as filter_by_fulls does, would lose them
+    curve = curve_make(field_make(5), (0, 0, 0, 3, 2))
+    arc = arc_make(curve, 4)
+    part = geometry._affine_part(arc)
+    assert (1, 1, 1) in part.points and len(part.points) == curve.n - 1
+    got = addable_points(arc)
+    assert got == naive_addable(5, 4, arc.points)
+    lifts = [(1, 1, 1, t) for t in range(5) if (1, 1, 1, t) not in arc.points]
+    assert len(lifts) == 4 and set(lifts) <= set(got)
+
+
+def test_projection_from_o_walks_only_the_space_one_dimension_down(monkeypatch):
+    # an arc at k = 4..6 reads P^(k-2) and never P^(k-1); a k = 3 arc, whose
+    # projection to P^1 is not injective, still filters P^2
+    real, dims = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks", lambda field, k, *a: dims.append(k) or
+                        real(field, k, *a))
+    for q in (7, 13):
+        curve = next(c for c in curve_scan(field_make(q)) if c.n >= 8)
+        for k in (3, 4, 5, 6):
+            dims.clear()
+            addable_points(arc_make(curve, k))
+            assert dims == [k - 1 if k >= 4 else k]
+
+
 # ---- negation orbits ---------------------------------------------------------
 
 
@@ -994,8 +1066,9 @@ def test_orbit_chunks_hold_one_point_per_orbit(monkeypatch, cached):
 
 
 def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
-    # arcs of a1 = a2 = 0 curves filter one point an orbit, the others every
-    # point; both must give the unsieved all-points reference from secant_scan
+    # k = 3 arcs of a1 = a2 = 0 curves filter one point an orbit, the others
+    # every point; both, and the projection from O at k = 4, 5, must give the
+    # unsieved all-points reference from secant_scan
     real, modes = geometry.proj_chunks, []
     monkeypatch.setattr(geometry, "proj_chunks",
                         lambda *a: modes.append(len(a) == 4 and a[3] is not None) or real(*a))
@@ -1010,7 +1083,8 @@ def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
                 want = unsieved_addable(arc)
                 modes.clear()
                 assert addable_points(arc) == want
-                assert modes == [curve.a1 == curve.a2 == 0]
+                if k == 3:  # arcs at k >= 4 project from O and filter no orbits
+                    assert modes == [curve.a1 == curve.a2 == 0]
     # one more pass over generated chunks, which hand every point to the filter
     monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
     for q in (7, 9):
@@ -1037,53 +1111,59 @@ def _curve_with_full_orbits(q=13):
 
 
 def test_a_walk_missing_a_hyperplane_is_refused(monkeypatch):
-    # a walk short of a full hyperplane that D moves is not permuted by D, so
-    # the filter of one point an orbit must refuse it rather than answer for
-    # the images of the points it tested
-    curve = _curve_with_full_orbits()
+    # a walk short of a full hyperplane, one that D moves on a1 = a2 = 0
+    # models or any one on mixed models, holds fewer than Z_k hyperplanes:
+    # the arc's walk is refused before a filter or a projection reads it
+    short = _curve_with_full_orbits()
     real = geometry.full_hyperplanes_via_subsets
-    for k in (3, 4, 5):
-        fulls, odd = real(arc_make(curve, k)), geometry.negation_odd(curve.field, k)
-        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
-        for dropped in fulls[images != fulls][[0, -1]]:
-            monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
-                                lambda ps: np.setdiff1d(real(ps), [dropped]))
-            with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
-                addable_points(arc_make(curve, k))
-            monkeypatch.undo()
+    for curve in [short] + _mixed_curves(short.field, 2):
+        for k in (3, 4, 5):
+            fulls = real(arc_make(curve, k))
+            dropped = fulls[[0, len(fulls) // 2, -1]]
+            if curve is short:
+                odd = geometry.negation_odd(curve.field, k)
+                images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
+                dropped = fulls[images != fulls][[0, -1]]
+            for drop in dropped:
+                monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
+                                    lambda ps: np.setdiff1d(real(ps), [drop]))
+                with pytest.raises(InvariantViolated, match="zero-sum k-subsets"):
+                    addable_points(arc_make(curve, k))
+                monkeypatch.undo()
 
 
 def test_a_walk_missing_one_negation_image_is_refused(monkeypatch):
     # the image of a full hyperplane swapped for a hyperplane outside the walk:
-    # the count holds, so only the check that D permutes the walk can refuse it
+    # the count holds, so only the check that D permutes the walk can refuse
+    # it, on the k = 3 arcs whose filter reads one point an orbit
     curve = _curve_with_full_orbits()
     real = geometry.full_hyperplanes_via_subsets
-    for k in (3, 4, 5):
-        arc = arc_make(curve, k)
-        fulls, odd = real(arc), geometry.negation_odd(curve.field, k)
-        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
-        image = images[images != fulls][0]
-        outside = np.setdiff1d(np.arange(1, 13**k), fulls)[0]
+    arc = arc_make(curve, 3)
+    fulls, odd = real(arc), geometry.negation_odd(curve.field, 3)
+    images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, 3), odd)
+    image = images[images != fulls][0]
+    outside = np.setdiff1d(np.arange(1, 13**3), fulls)[0]
 
-        def walk(ps, image=image, outside=outside):
-            out = real(ps)
-            return np.sort(np.where(out == image, outside, out))
+    def walk(ps):
+        out = real(ps)
+        return np.sort(np.where(out == image, outside, out))
 
-        monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets", walk)
-        fresh = arc_make(curve, k)
-        assert len(fresh.walk()) == len(fulls)
-        with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
-            addable_points(fresh)
-        monkeypatch.undo()
+    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets", walk)
+    fresh = arc_make(curve, 3)
+    assert len(fresh.walk()) == len(fulls)
+    with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
+        addable_points(fresh)
 
 
 def test_a_set_the_negation_does_not_permute_is_refused():
+    # an arc short of one point: the k = 3 orbit filter's check refuses it,
+    # and at k = 4, which projects from O, the walk refuses it
     curve = _curve_with_full_orbits()
-    for k in (3, 4):
+    for k, match in ((3, "negation does not permute the arc"), (4, "an arc of")):
         points = arc_make(curve, k).points
         moved = next(i for i, pt in enumerate(points) if pt[2] != 0)  # y != 0
         broken = geometry.EllipticArc(curve, k, points[:moved] + points[moved + 1:])
-        with pytest.raises(InvariantViolated, match="negation does not permute the arc"):
+        with pytest.raises(InvariantViolated, match=match):
             addable_points(broken)
 
 
@@ -1091,10 +1171,11 @@ def test_completion_walks_only_sets_with_points_left_to_filter(monkeypatch):
     # a point added with no other addable point left leaves nothing to filter:
     # its set is charged as before but never walked.  On q = 7, (0,0,0,0,2),
     # k = 4, the added point leaves 41 others, which only the walk of the
-    # extended set shows to be blocked
+    # extended set shows to be blocked.  The k = 4 arc's first round also
+    # walks the k = 3 arc it projects onto from O
     walked, real = [], geometry.full_hyperplanes_via_subsets
     monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
-                        lambda ps: walked.append(ps.n) or real(ps))
+                        lambda ps: walked.append((ps.k, ps.n)) or real(ps))
     for q, coeffs, k, left in ((5, (0, 0, 0, 3, 0), 3, 0), (7, (0, 0, 0, 0, 2), 4, 41)):
         curve = curve_make(field_make(q), coeffs)
         assert len(addable_points(arc_make(curve, k))) == 1 + left
@@ -1102,5 +1183,6 @@ def test_completion_walks_only_sets_with_points_left_to_filter(monkeypatch):
         walked.clear()
         result = complete_arc(arc, 3, budget)
         assert len(result.added) == 1 and result.complete
-        assert walked == [arc.n] + [arc.n + 1] * (left > 0)
+        assert walked == ([(k, arc.n)] + [(k - 1, arc.n)] * (k >= 4)
+                          + [(k, arc.n + 1)] * (left > 0))
         assert budget.spent == proj_space_size(q, k) * (2 * arc.n + 1)
