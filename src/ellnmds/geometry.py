@@ -11,7 +11,8 @@ law; the addable-point filter and :func:`secant_scan`, the tests' reference, run
 on a digit level matmul engine from :mod:`ellnmds.gf`, chunked to bounded memory.
 An elliptic arc at k >= 4 finds its addable points by projection from O: one
 filter pass over P^(k-2) against the arc one dimension down, then the q lifts of
-the survivors; other sets, and arcs at k = 3, filter all of P^(k-1).
+the survivors; every other set, arcs at k = 3 among them, filters all of
+P^(k-1) on one path.
 """
 
 from __future__ import annotations
@@ -175,68 +176,18 @@ def proj_reps(field: Field, k: int, chunk_rows: int | None = None):
             yield coords
 
 
-def proj_chunks(field: Field, k: int, rows: int, odd: np.ndarray | None = None):
+def proj_chunks(field: Field, k: int, rows: int):
     """Yield (coords, digit rows) of P^{k-1}(F_q) in canonical order, at most
     ``rows`` points a chunk: slices of :func:`proj_reps_cached` when the space
-    fits the cache, generated chunks otherwise.
-
-    With ``odd`` (:func:`negation_odd`), a cached space yields only one point
-    of each orbit of x -> normalize(D x), D the sign flip of the odd
-    coordinates: x itself when its odd or its even coordinates all vanish (D
-    fixes it), else the one whose first nonzero coordinate of the parity
-    opposite to its lead's lies in H = {h : enc(h) < enc(-h)} (x and
-    normalize(D x) first differ there, by its sign), read through a row index
-    (:func:`_orbit_index`).  Generated spaces ignore ``odd`` and yield every
-    point, which a caller merging the survivors' orbits handles the same."""
+    fits the cache, generated chunks otherwise."""
     cached = proj_reps_cached(field, k)
     if cached is not None:
         coords, digits = cached
-        if odd is None:
-            for start in range(0, len(coords), rows):
-                yield coords[start: start + rows], digits[start: start + rows]
-            return
-        index = _orbit_index(field, odd)
-        for start in range(0, len(index), rows):
-            at = index[start: start + rows]
-            yield np.take(coords, at, axis=0), np.take(digits, at, axis=0)
+        for start in range(0, len(coords), rows):
+            yield coords[start: start + rows], digits[start: start + rows]
         return
     for coords in proj_reps(field, k, rows):
         yield coords, rows_digits(field, coords)
-
-
-_ORBIT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _orbit_index(field: Field, odd: np.ndarray) -> np.ndarray:
-    """Sorted int32 rows of the cached P^{k-1}(F_q) that :func:`proj_chunks` keeps
-    for ``odd``, cached per (p, r, odd): about half the space, 3.6 MB for P^3(F_121).
-
-    Built a lead at a time from the tail's last coordinate to its first, never
-    as a mask over the space: a tail still all zero on the opposite parity
-    either keeps any digit of a coordinate of the lead's parity, or, at one of
-    the opposite parity, stays undecided on 0 or keeps every later tail after
-    an h in H.  Each step lists its rows in increasing tail value."""
-    key = (field.p, field.r, tuple(odd.tolist()))
-    hit = _ORBIT_CACHE.get(key)
-    if hit is None:
-        q, k = field.q, len(odd)
-        enc = np.arange(q, dtype=np.int64)
-        halves = np.flatnonzero(enc < field.neg_np(enc)).astype(np.int32)
-        blocks, offset = [], 0
-        for lead in range(k - 1, -1, -1):
-            undecided, size = np.zeros(1, dtype=np.int32), 1
-            for c in range(k - 1, lead, -1):
-                if odd[c] != odd[lead]:
-                    free = (halves[:, None] * size + np.arange(size, dtype=np.int32)).reshape(-1)
-                    undecided = np.concatenate([undecided, free])
-                else:
-                    undecided = (np.arange(q, dtype=np.int32)[:, None] * size + undecided).reshape(-1)
-                size *= q
-            blocks.append(undecided + offset)
-            offset += size
-        hit = _ORBIT_CACHE.setdefault(key, np.concatenate(blocks))
-        hit.flags.writeable = False
-    return hit
 
 
 def psi(field: Field, i: int, x: int, y: int) -> int:
@@ -255,25 +206,6 @@ def psi(field: Field, i: int, x: int, y: int) -> int:
         return field.mul(x, field.pow(y, s))
     s = (i - 4) // 3
     return field.mul(field.mul(x, x), field.pow(y, s))
-
-
-def negation_odd(field: Field, k: int) -> np.ndarray:
-    """(k,) booleans: the coordinates (1, psi_2, ..., psi_k) of odd Y-degree,
-    read off psi(1, -1) = (-1)^(Y-degree); none in characteristic 2.
-
-    On a model with a1 = a2 = 0, -(x, y) = (x, -y), so negation acts on the
-    arc's span as D, the sign flip of exactly these coordinates: (+,+,-,+) at
-    k = 4, and -1 on coordinates 2 and 4 at k = 5, 6."""
-    minus = field.neg(1)
-    return np.array([False] + [psi(field, i, 1, minus) != 1 for i in range(2, k + 1)])
-
-
-def negated_encs(field: Field, coords: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Encodings of normalize(D x) for normalized rows x, D the sign flip of the
-    ``odd`` coordinates; hyperplane duals map the same way, as D is its own
-    inverse transpose."""
-    return coords_to_enc(normalize_rows(field, np.where(odd, field.neg_np(coords), coords)),
-                         field.q)
 
 
 def phi_k(field: Field, point, k: int) -> tuple[int, ...]:
@@ -558,22 +490,17 @@ def addable_points(ps: ProjPointSet, budget: Budget | None = None) -> list[tuple
 
     An elliptic arc with k >= 4 projects from O (:func:`_projected_addable`).
     Any other set walks its full hyperplanes through :meth:`ProjPointSet.fulls`,
-    then runs one point of each orbit of its :func:`_negation_group` on
-    P^(k-1), a chunk at a time, through :func:`filter_by_fulls`, and returns
-    the survivors' orbits.
+    then runs every point of P^(k-1), a chunk at a time, through
+    :func:`filter_by_fulls`.
     """
     field, k = ps.field, ps.k
     if isinstance(ps, EllipticArc) and k >= 4:
         return list(map(tuple, _projected_addable(ps, budget).tolist()))
-    odd = _negation_group(ps, budget)
+    ps.fulls(budget)
     found = [np.empty((0, k), dtype=np.int64)]
-    for coords, digits in proj_chunks(field, k, scan_chunk_rows(field, ps.n), odd):
+    for coords, digits in proj_chunks(field, k, scan_chunk_rows(field, ps.n)):
         found.append(filter_by_fulls(ps, coords, digits))
-    found = np.vstack(found)
-    if odd is not None:
-        encs = np.concatenate([coords_to_enc(found, field.q), negated_encs(field, found, odd)])
-        found = enc_to_coords(np.unique(encs), field.q, k)
-    return list(map(tuple, found.tolist()))
+    return list(map(tuple, np.vstack(found).tolist()))
 
 
 def _affine_part(arc: EllipticArc) -> ProjPointSet:
@@ -616,35 +543,6 @@ def _projected_addable(arc: EllipticArc, budget: Budget | None) -> np.ndarray:
         cand = np.column_stack([x, np.tile(np.arange(q), len(x) // q)])
         found.append(filter_by_fulls(arc, cand, rows_digits(field, cand)))
     return np.vstack(found)
-
-
-def _negation_group(ps: ProjPointSet, budget: Budget | None) -> np.ndarray | None:
-    """Walk the set's full hyperplanes (charged by :meth:`ProjPointSet.fulls`) and
-    return the ``odd`` coordinates of the negation D that permutes the set, or
-    None for the trivial group.
-
-    D (:func:`negation_odd`) acts so on an elliptic arc of a curve with
-    a1 = a2 = 0 (curves have odd characteristic).  It must then map the arc's
-    points and its walk onto themselves, or InvariantViolated is raised: a
-    filter of one point an orbit would otherwise answer for the images of
-    points it tested against a walk that D does not permute.  The walk is
-    mapped ``scan_chunk_rows`` hyperplanes at a time, each image looked up in
-    it: D is an involution and the walk holds no hyperplane twice, so images
-    that all lie in the walk make D permute it."""
-    field, k = ps.field, ps.k
-    odd = None
-    if isinstance(ps, EllipticArc) and ps.curve.a1 == ps.curve.a2 == 0:
-        odd = negation_odd(field, k)
-        if not np.array_equal(np.sort(negated_encs(field, ps.coords, odd)), np.sort(ps.encs)):
-            raise InvariantViolated("the curve's negation does not permute the arc")
-    fulls = ps.fulls(budget)
-    if odd is not None:
-        step = scan_chunk_rows(field, ps.n)
-        for lo in range(0, len(fulls), step):
-            images = negated_encs(field, enc_to_coords(fulls[lo: lo + step], field.q, k), odd)
-            if not _within(fulls, images):
-                raise InvariantViolated("the curve's negation does not permute the walk")
-    return odd
 
 
 def _addable_among(ps: ProjPointSet, rows) -> list[tuple[int, ...]]:

@@ -29,7 +29,6 @@ from ellnmds.geometry import (
     arc_make,
     complete_arc,
     coords_to_enc,
-    enc_to_coords,
     full_hyperplanes_via_subsets,
     pencil_tables,
     normalize_coords,
@@ -523,27 +522,6 @@ def test_arc_windows_confirm_only_the_predicted_points(monkeypatch):
     assert calls["at"] == [] and len(calls["mask"]) >= 1
 
 
-def test_the_negation_check_maps_the_walk_in_bounded_memory():
-    # the check maps the walk a chunk at a time; mapping the whole walk at
-    # once, as the check did before, takes more than one (Z, k) int64 array
-    curve = curve_make(field_of_order(121), (0, 0, 75, 109, 5))
-    arc = arc_make(curve, 5)
-    fulls = arc.walk()
-    odd = geometry.negation_odd(curve.field, 5)
-    bound = fulls.size * 5 * 8
-    tracemalloc.start()
-    try:
-        assert np.array_equal(geometry._negation_group(arc, Budget(None)), odd)
-        chunked = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 121, 5), odd)
-        assert np.array_equal(np.sort(images), fulls)
-        whole = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert chunked < bound < whole
-
-
 def test_addable_filter_agrees_with_full_scan():
     field = field_make(7)
     for curve in itertools.islice(curve_scan(field), 8):
@@ -1004,7 +982,7 @@ def test_projection_from_o_walks_only_the_space_one_dimension_down(monkeypatch):
             assert dims == [k - 1 if k >= 4 else k]
 
 
-# ---- negation orbits ---------------------------------------------------------
+# ---- models and refusals ----------------------------------------------------
 
 
 def _mixed_curves(field, count):
@@ -1023,55 +1001,12 @@ def _mixed_curves(field, count):
     return out
 
 
-def test_negation_signs_are_the_odd_y_degrees_of_psi():
-    # -(x, y) = (x, -y) on a1 = a2 = 0 models flips psi_i exactly when its
-    # Y-degree is odd: Y^s, X Y^s, X^2 Y^s for i = 3s, 3s + 2, 3s + 4
-    for q in (5, 7, 9, 121):
-        f = field_of_order(q)
-        odd = geometry.negation_odd(f, 12)
-        for i in range(2, 13):
-            s = i // 3 if i % 3 == 0 else (i - 2) // 3 if i % 3 == 2 else (i - 4) // 3
-            assert odd[i - 1] == (s % 2 == 1)
-            for x, y in ((3, 4), (2, 1)):
-                flipped = psi(f, i, x, f.neg(y))
-                assert flipped == (f.neg(psi(f, i, x, y)) if odd[i - 1] else psi(f, i, x, y))
-        assert geometry.negation_odd(f, 4).tolist() == [False, False, True, False]
-        assert geometry.negation_odd(f, 5).tolist() == [False, False, True, False, True]
-        assert geometry.negation_odd(f, 6).tolist() == [False, False, True, False, True, False]
-
-
-@pytest.mark.parametrize("cached", [True, False])
-def test_orbit_chunks_hold_one_point_per_orbit(monkeypatch, cached):
-    # cached spaces yield one point an orbit; generated ones ignore the sign
-    # pattern and yield the whole space, which the orbit merge handles the same
-    if not cached:
-        monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
-    for q in (5, 7, 9, 11, 13, 25, 27):
-        field = field_of_order(q)
-        for k in (3, 4, 5):
-            if proj_space_size(q, k) > 40_000:
-                continue
-            odd = geometry.negation_odd(field, k)
-            everything = coords_to_enc(np.vstack(list(proj_reps(field, k))), q)
-            fixed = geometry.negated_encs(field, enc_to_coords(everything, q, k), odd) == everything
-            reps = np.vstack([c for c, _ in geometry.proj_chunks(field, k, 97, odd)])
-            encs = coords_to_enc(reps, q)
-            images = geometry.negated_encs(field, reps, odd)
-            assert np.array_equal(encs, np.unique(encs))  # canonical order, no repeats
-            assert np.array_equal(np.union1d(encs, images), everything)
-            if cached:
-                assert len(encs) == (len(everything) + fixed.sum()) // 2
-            else:
-                assert np.array_equal(encs, everything)
-
-
-def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
-    # k = 3 arcs of a1 = a2 = 0 curves filter one point an orbit, the others
-    # every point; both, and the projection from O at k = 4, 5, must give the
-    # unsieved all-points reference from secant_scan
-    real, modes = geometry.proj_chunks, []
-    monkeypatch.setattr(geometry, "proj_chunks",
-                        lambda *a: modes.append(len(a) == 4 and a[3] is not None) or real(*a))
+def test_k3_addable_points_match_the_whole_space_reference(monkeypatch):
+    # k = 3 arcs, of a1 = a2 = 0 and mixed models alike, filter every point of
+    # P^2 on the one path plain sets take; they, and the projection from O at
+    # k = 4, 5, must give the unsieved all-points reference from secant_scan
+    real, arities = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks", lambda *a: arities.append(len(a)) or real(*a))
     for q in (5, 7, 9, 11, 13, 25, 27):
         field = field_of_order(q)
         short = [c for c in itertools.islice(curve_scan(field), 40) if c.n >= 8][:2]
@@ -1081,10 +1016,9 @@ def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
                     continue
                 arc = arc_make(curve, k)
                 want = unsieved_addable(arc)
-                modes.clear()
+                arities.clear()
                 assert addable_points(arc) == want
-                if k == 3:  # arcs at k >= 4 project from O and filter no orbits
-                    assert modes == [curve.a1 == curve.a2 == 0]
+                assert arities == [3]
     # one more pass over generated chunks, which hand every point to the filter
     monkeypatch.setattr(geometry, "_REPS_CACHE_MAX_ROWS", 0)
     for q in (7, 9):
@@ -1095,36 +1029,29 @@ def test_orbit_filter_matches_the_whole_space_reference(monkeypatch):
 
 
 def test_plain_and_extended_sets_filter_every_point(monkeypatch):
-    real, modes = geometry.proj_chunks, []
-    monkeypatch.setattr(geometry, "proj_chunks",
-                        lambda *a: modes.append(len(a) == 4 and a[3] is not None) or real(*a))
+    real, arities = geometry.proj_chunks, []
+    monkeypatch.setattr(geometry, "proj_chunks", lambda *a: arities.append(len(a)) or real(*a))
     arc = arc_make(curve_make(field_make(7), (0, 0, 0, 0, 2)), 4)
     for ps in (ProjPointSet(arc.field, 4, arc.points), arc.with_point(addable_points(arc)[0])):
         want = unsieved_addable(ps)
-        modes.clear()
+        arities.clear()
         assert addable_points(ps) == want
-        assert modes == [False]
+        assert arities == [3]
 
 
-def _curve_with_full_orbits(q=13):
+def _curve_of_many_points(q=13):
     return next(c for c in curve_scan(field_make(q)) if c.n >= 14)
 
 
 def test_a_walk_missing_a_hyperplane_is_refused(monkeypatch):
-    # a walk short of a full hyperplane, one that D moves on a1 = a2 = 0
-    # models or any one on mixed models, holds fewer than Z_k hyperplanes:
-    # the arc's walk is refused before a filter or a projection reads it
-    short = _curve_with_full_orbits()
+    # a walk short of a full hyperplane holds fewer than Z_k hyperplanes: the
+    # arc's walk is refused before a filter or a projection reads it
+    short = _curve_of_many_points()
     real = geometry.full_hyperplanes_via_subsets
     for curve in [short] + _mixed_curves(short.field, 2):
         for k in (3, 4, 5):
             fulls = real(arc_make(curve, k))
-            dropped = fulls[[0, len(fulls) // 2, -1]]
-            if curve is short:
-                odd = geometry.negation_odd(curve.field, k)
-                images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, k), odd)
-                dropped = fulls[images != fulls][[0, -1]]
-            for drop in dropped:
+            for drop in fulls[[0, len(fulls) // 2, -1]]:
                 monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets",
                                     lambda ps: np.setdiff1d(real(ps), [drop]))
                 with pytest.raises(InvariantViolated, match="zero-sum k-subsets"):
@@ -1132,38 +1059,13 @@ def test_a_walk_missing_a_hyperplane_is_refused(monkeypatch):
                 monkeypatch.undo()
 
 
-def test_a_walk_missing_one_negation_image_is_refused(monkeypatch):
-    # the image of a full hyperplane swapped for a hyperplane outside the walk:
-    # the count holds, so only the check that D permutes the walk can refuse
-    # it, on the k = 3 arcs whose filter reads one point an orbit
-    curve = _curve_with_full_orbits()
-    real = geometry.full_hyperplanes_via_subsets
-    arc = arc_make(curve, 3)
-    fulls, odd = real(arc), geometry.negation_odd(curve.field, 3)
-    images = geometry.negated_encs(curve.field, enc_to_coords(fulls, 13, 3), odd)
-    image = images[images != fulls][0]
-    outside = np.setdiff1d(np.arange(1, 13**3), fulls)[0]
-
-    def walk(ps):
-        out = real(ps)
-        return np.sort(np.where(out == image, outside, out))
-
-    monkeypatch.setattr(geometry, "full_hyperplanes_via_subsets", walk)
-    fresh = arc_make(curve, 3)
-    assert len(fresh.walk()) == len(fulls)
-    with pytest.raises(InvariantViolated, match="negation does not permute the walk"):
-        addable_points(fresh)
-
-
-def test_a_set_the_negation_does_not_permute_is_refused():
-    # an arc short of one point: the k = 3 orbit filter's check refuses it,
-    # and at k = 4, which projects from O, the walk refuses it
-    curve = _curve_with_full_orbits()
-    for k, match in ((3, "negation does not permute the arc"), (4, "an arc of")):
-        points = arc_make(curve, k).points
-        moved = next(i for i, pt in enumerate(points) if pt[2] != 0)  # y != 0
-        broken = geometry.EllipticArc(curve, k, points[:moved] + points[moved + 1:])
-        with pytest.raises(InvariantViolated, match=match):
+def test_an_arc_short_of_a_point_is_refused():
+    # an arc short of one point is refused by its walk, at k = 3, which
+    # filters all of P^2, as at k = 4, which projects from O
+    curve = _curve_of_many_points()
+    for k in (3, 4):
+        broken = geometry.EllipticArc(curve, k, arc_make(curve, k).points[1:])
+        with pytest.raises(InvariantViolated, match="an arc of"):
             addable_points(broken)
 
 

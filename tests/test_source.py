@@ -207,18 +207,27 @@ def test_the_pencil_sieve_runs_only_inside_the_candidate_filter():
         ("filter_by_fulls", False)]
 
 
-def test_orbit_selection_lives_in_the_chunk_walk():
-    # proj_chunks alone picks one point per negation orbit; the filter's
-    # caller only hands it the sign pattern
-    assert [func for _, func, _ in _calls("_orbit_index")] == ["proj_chunks"]
+_ORBIT_FILTER = {"negation_odd", "negated_encs", "_negation_group", "_orbit_index",
+                 "_ORBIT_CACHE"}
 
 
-def test_the_negation_signs_come_from_psi_at_one_site():
-    # the sign pattern is the Y-degree parity of the embedding's monomials,
-    # read off psi in negation_odd and asked for at one site, not written per k
-    assert {func for _, func, _ in _calls("psi")} == {"phi_k", "negation_odd"}
-    assert [func for _, func, _ in _calls("negation_odd")] == ["_negation_group"]
-
+def test_geometry_filters_every_set_on_one_path():
+    # a set that does not project filters every point of P^(k-1): geometry
+    # keeps no negation sign pattern, orbit index or orbit cache, proj_chunks
+    # takes no sign pattern, and psi serves the embedding alone
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert defined.isdisjoint(_ORBIT_FILTER)
+    chunks = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "proj_chunks")
+    args = chunks.args
+    assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == [
+        "field", "k", "rows"]
+    assert args.vararg is None and args.kwarg is None
+    assert {func for _, func, _ in _calls("psi")} == {"phi_k"}
 
 
 def _methods(path, cls):
